@@ -26,7 +26,9 @@
 
 use std::collections::HashMap;
 
-use kvd_bench::{banner, json_section, shape_check, with_json_section, Table, SCALED_MEMORY_BIG};
+use kvd_bench::{
+    banner, json_section_number, shape_check, with_json_section, Table, SCALED_MEMORY_BIG,
+};
 use kvd_core::{KvDirectConfig, KvDirectStore};
 use kvd_net::{KvResponse, OpCode, Status};
 use kvd_sim::SimTime;
@@ -105,17 +107,6 @@ fn run(reap_buckets: u64) -> RunResult {
         sweep_buckets: stats.sweep_buckets,
         expired_hits,
     }
-}
-
-fn parse_section_value(doc: &str, key: &str) -> Option<f64> {
-    let sec = json_section(doc, "expiry")?;
-    let k = format!("\"{key}\"");
-    let rest = &sec[sec.find(&k)? + k.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -226,7 +217,7 @@ fn main() {
     // behavior changed and the section must be re-recorded consciously.
     match committed
         .as_deref()
-        .and_then(|doc| parse_section_value(doc, "lazy_dead_resident"))
+        .and_then(|doc| json_section_number(doc, "expiry", "lazy_dead_resident"))
     {
         Some(gate) if gate > 0.0 => shape_check(
             "lazy-only dead-resident count within 20% of committed",

@@ -35,7 +35,7 @@
 //! The `hotkey` section of `BENCH_wallclock.json` is updated in place
 //! (the wall-clock harness owns the other sections and preserves it).
 
-use kvd_bench::{banner, json_section, shape_check, with_json_section, Table};
+use kvd_bench::{banner, json_section_number, shape_check, with_json_section, Table};
 use kvd_mem::dispatch::optimal_ratio_zipf;
 use kvd_mem::replay::{replay_lines, ReplayConfig};
 use kvd_mem::{
@@ -161,17 +161,6 @@ fn run(trace_data: &[(u64, AccessKind)], adaptive: bool) -> RunResult {
         rejected_fills: timed.rejected_fills,
         trajectory,
     }
-}
-
-fn parse_section_value(doc: &str, key: &str) -> Option<f64> {
-    let sec = json_section(doc, "hotkey")?;
-    let k = format!("\"{key}\"");
-    let rest = &sec[sec.find(&k)? + k.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -321,7 +310,7 @@ fn main() {
     // changed and the section must be re-recorded consciously.
     match committed
         .as_deref()
-        .and_then(|doc| parse_section_value(doc, "z12_adaptive_mops"))
+        .and_then(|doc| json_section_number(doc, "hotkey", "z12_adaptive_mops"))
     {
         Some(gate) if gate > 0.0 => shape_check(
             "adaptive Zipf 1.2 goodput within 20% of committed",

@@ -23,7 +23,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use kvd_bench::{banner, json_section, shape_check, with_json_section, Table, SCALED_MEMORY_BIG};
+use kvd_bench::{
+    banner, json_section, json_section_number, shape_check, with_json_section, Table,
+    SCALED_MEMORY_BIG,
+};
 use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
 use kvd_core::{KvDirectConfig, KvDirectStore, SystemSim, SystemSimConfig};
 use kvd_net::KvRequest;
@@ -206,19 +209,6 @@ fn server_rps() -> (f64, f64) {
         "every offered op must land in the server ledger"
     );
     (report.rps(), report.goodput_rps())
-}
-
-/// Pulls `"key": <number>` out of the `"after"` object of a committed
-/// `BENCH_wallclock.json` (no JSON dependency needed for one flat key).
-fn parse_committed_after(text: &str, key: &str) -> Option<f64> {
-    let tail = &text[text.find("\"after\"")?..];
-    let k = format!("\"{key}\"");
-    let rest = &tail[tail.find(&k)? + k.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -416,7 +406,7 @@ fn main() {
     );
     match committed
         .as_deref()
-        .and_then(|c| parse_committed_after(c, "seq_b_wall_mops"))
+        .and_then(|c| json_section_number(c, "after", "seq_b_wall_mops"))
     {
         Some(gate) => shape_check(
             "YCSB-B sequential within 20% of committed result",
@@ -430,7 +420,7 @@ fn main() {
     // below the committed answered RPS is a red build.
     match committed
         .as_deref()
-        .and_then(|c| parse_committed_after(c, "server_rps"))
+        .and_then(|c| json_section_number(c, "after", "server_rps"))
     {
         Some(gate) => shape_check(
             "server RPS within 40% of committed result",

@@ -48,6 +48,19 @@ pub fn json_section(text: &str, name: &str) -> Option<String> {
     None
 }
 
+/// Reads the number stored under `"key"` inside the top-level `"section"`
+/// of a benchmark-report JSON document, e.g. a committed gate value.
+pub fn json_section_number(text: &str, section: &str, key: &str) -> Option<f64> {
+    let body = json_section(text, section)?;
+    let k = format!("\"{key}\"");
+    let rest = &body[body.find(&k)? + k.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Returns `text` with its top-level `"name"` section replaced by
 /// `body` (an object literal including braces), or appended before the
 /// closing brace when absent. Lets independent harnesses each own one
@@ -107,6 +120,19 @@ mod tests {
             Some("{\"rf2\": {\"g\": 2}}")
         );
         assert_eq!(json_section(doc, "missing"), None);
+        // Numbers are read from inside the named section only.
+        assert_eq!(json_section_number(doc, "after", "x"), Some(1.0));
+        assert_eq!(json_section_number(doc, "cluster", "g"), Some(2.0));
+        assert_eq!(json_section_number(doc, "cluster", "x"), None);
+        assert_eq!(json_section_number(doc, "missing", "x"), None);
+        assert_eq!(
+            json_section_number(
+                "{\"after\": {\"rps\": 343942, \"m\": -1.5e3}}",
+                "after",
+                "m"
+            ),
+            Some(-1.5e3)
+        );
         // Replace keeps the rest of the document intact.
         let replaced = with_json_section(doc, "cluster", "{\"rf3\": {\"g\": 3}}");
         assert_eq!(

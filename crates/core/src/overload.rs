@@ -12,9 +12,10 @@
 //! oscillates between the watermarks cannot flap the admission decision
 //! on every request.
 //!
-//! [`OverloadCounters`] is the rollup the store and the simulations
-//! expose, mirroring `FaultCounters` for the fault plane: every shed
-//! (and the reason), every degraded-mode transition.
+//! Every admission, shed (and its reason) and degraded-mode transition
+//! is counted in the op-cost ledger's `core` section
+//! ([`kvd_sim::CoreCosts`]), which the store and both simulation reports
+//! expose.
 
 /// Hysteresis watermark pair for the admission controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,47 +190,6 @@ impl AdmissionController {
     }
 }
 
-/// Rollup of shedding and degraded-mode activity, mirroring
-/// `FaultCounters`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadCounters {
-    /// Requests that passed every overload gate.
-    pub admitted: u64,
-    /// Requests shed with `Status::Overloaded` by the admission
-    /// controller.
-    pub shed_overload: u64,
-    /// Requests dropped with `Status::Expired` — their deadline had
-    /// passed before execution.
-    pub shed_expired: u64,
-    /// Writes shed with `Status::Overloaded` while in read-only mode.
-    pub shed_read_only: u64,
-    /// Entries into read-only mode (slab exhaustion).
-    pub read_only_entries: u64,
-    /// Exits from read-only mode (memory drained below the exit
-    /// watermark).
-    pub read_only_exits: u64,
-    /// Admission-controller state flips (both directions).
-    pub shed_transitions: u64,
-}
-
-impl OverloadCounters {
-    /// Accumulates another rollup into this one (multi-shard merges).
-    pub fn merge(&mut self, other: &OverloadCounters) {
-        self.admitted += other.admitted;
-        self.shed_overload += other.shed_overload;
-        self.shed_expired += other.shed_expired;
-        self.shed_read_only += other.shed_read_only;
-        self.read_only_entries += other.read_only_entries;
-        self.read_only_exits += other.read_only_exits;
-        self.shed_transitions += other.shed_transitions;
-    }
-
-    /// Requests shed for any reason.
-    pub fn total_shed(&self) -> u64 {
-        self.shed_overload + self.shed_expired + self.shed_read_only
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,7 +229,8 @@ mod tests {
 
     #[test]
     fn counters_merge_componentwise() {
-        let a = OverloadCounters {
+        // The overload plane's counters live in the ledger's core section.
+        let a = kvd_sim::CoreCosts {
             admitted: 10,
             shed_overload: 2,
             shed_expired: 1,
@@ -277,6 +238,7 @@ mod tests {
             read_only_entries: 1,
             read_only_exits: 1,
             shed_transitions: 4,
+            ..Default::default()
         };
         let mut b = a;
         b.merge(&a);

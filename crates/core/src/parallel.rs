@@ -52,7 +52,6 @@ use kvd_sim::{
     RunSummary, SimTime,
 };
 
-use crate::overload::OverloadCounters;
 use crate::store::{KvDirectConfig, KvDirectStore, StoreError};
 use crate::system::{SystemSim, SystemSimConfig, SystemSimReport};
 
@@ -117,8 +116,6 @@ pub struct ParallelSimReport {
     /// over the slowest shard's makespan, and shard-merged latency
     /// summaries. Also reachable through `Deref`, so `r.mops` works.
     pub summary: RunSummary,
-    /// Overload rollup merged across shards.
-    pub overload: OverloadCounters,
     /// Fault rollup merged across shards (stores + network links).
     pub faults: FaultCounters,
     /// The op-cost ledger merged across shards in shard order
@@ -416,7 +413,6 @@ impl ParallelSystemSim {
         let mut get_hist = Histogram::new();
         let mut put_hist = Histogram::new();
         let mut ledger = OpLedger::default();
-        let mut overload = OverloadCounters::default();
         let mut faults = FaultCounters::default();
         let mut per_shard = Vec::new();
         if self.cfg.per_shard_reports {
@@ -433,7 +429,6 @@ impl ParallelSystemSim {
             get_hist.merge(g);
             put_hist.merge(p);
             ledger.merge(&r.ledger);
-            overload.merge(&r.overload);
             faults.merge(&r.faults);
             if self.cfg.per_shard_reports {
                 per_shard.push(r);
@@ -450,7 +445,6 @@ impl ParallelSystemSim {
                 &get_hist,
                 &put_hist,
             ),
-            overload,
             faults,
             ledger,
             per_shard,

@@ -17,7 +17,7 @@ use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp}
 use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
-use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig, OverloadCounters};
+use crate::overload::{AdmissionController, HotKeyConfig, OverloadConfig};
 
 /// Retries the processor grants a memory transaction before surfacing
 /// [`Status::DeviceError`] (matches the DMA engine's read retry budget).
@@ -265,21 +265,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.external_pressure = pressure;
     }
 
-    /// Overload/shed rollup (admissions, sheds by reason, degraded-mode
-    /// transitions) — a view over the processor's ledger.
-    pub fn overload_counters(&self) -> OverloadCounters {
-        let c = &self.ledger.core;
-        OverloadCounters {
-            admitted: c.admitted,
-            shed_overload: c.shed_overload,
-            shed_expired: c.shed_expired,
-            shed_read_only: c.shed_read_only,
-            read_only_entries: c.read_only_entries,
-            read_only_exits: c.read_only_exits,
-            shed_transitions: c.shed_transitions,
-        }
-    }
-
     /// Enables per-retire outcome attribution in the ledger
     /// (`retired_ok`/`retired_not_found`/`retired_failed`). Costs one
     /// branch + increment per response; off by default.
@@ -365,7 +350,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
     }
 
     /// Reservation-station counters (forwarding rate etc.).
-    pub fn station_stats(&self) -> kvd_ooo::StationStats {
+    pub fn station_stats(&self) -> kvd_sim::StationCosts {
         self.station.stats()
     }
 
@@ -906,7 +891,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
 
     /// The table's lifecycle counters (also folded into
     /// [`CostSource::emit_costs`] as the ledger's expiry section).
-    pub fn expiry_stats(&self) -> kvd_hash::ExpiryStats {
+    pub fn expiry_stats(&self) -> kvd_sim::ExpiryCosts {
         self.table.expiry_stats()
     }
 
@@ -946,15 +931,7 @@ impl<M: MemoryEngine + CostSource> CostSource for KvProcessor<M> {
         self.table.allocator().emit_costs(out);
         self.faults.emit_costs(out);
         self.table.mem().emit_costs(out);
-        let e = self.table.expiry_stats();
-        out.expiry.ttl_puts += e.ttl_puts;
-        out.expiry.touches += e.touches;
-        out.expiry.lazy_expired += e.lazy_expired;
-        out.expiry.expired_overwrites += e.expired_overwrites;
-        out.expiry.reaped_entries += e.reaped_entries;
-        out.expiry.reaped_bytes += e.reaped_bytes;
-        out.expiry.sweep_passes += e.sweep_passes;
-        out.expiry.sweep_buckets += e.sweep_buckets;
+        out.expiry.merge(&self.table.expiry_stats());
     }
 }
 

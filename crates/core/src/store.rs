@@ -13,7 +13,7 @@ use kvd_ooo::StationConfig;
 use kvd_sim::{Bandwidth, CostSource, FaultCounters, FaultPlane, FaultRates, OpLedger};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
-use crate::overload::{OverloadConfig, OverloadCounters};
+use crate::overload::OverloadConfig;
 use crate::processor::{KvProcessor, ProcessorStats};
 
 /// Errors surfaced by the store API.
@@ -286,13 +286,6 @@ impl KvDirectStore {
     /// counts and whether the DRAM-cache bypass breaker has tripped).
     pub fn ecc_stats(&self) -> kvd_mem::EccStats {
         *self.proc.table().mem().ecc()
-    }
-
-    /// Store-wide overload rollup (admissions, sheds by reason,
-    /// degraded-mode transitions), mirroring
-    /// [`fault_counters`](Self::fault_counters).
-    pub fn overload_counters(&self) -> OverloadCounters {
-        self.proc.overload_counters()
     }
 
     /// Whether the store is in read-only degraded mode (writes shed with
@@ -932,7 +925,7 @@ mod tests {
         // shed attempts.
         s.processor_mut().set_external_pressure(0.3);
         assert_eq!(s.get(b"k").unwrap(), b"v");
-        let c = s.overload_counters();
+        let c = s.ledger().core;
         assert_eq!(c.shed_overload, 3);
         assert_eq!(c.shed_transitions, 2, "one flip in, one out");
         assert!(c.admitted >= 2);
@@ -960,7 +953,7 @@ mod tests {
         }
         let sheds = s.processor().ledger().cache.hot_key_sheds;
         assert!(sheds >= 1, "celebrity shed must be attributed");
-        assert_eq!(s.overload_counters().shed_overload, sheds);
+        assert_eq!(s.ledger().core.shed_overload, sheds);
         // At severe pressure the carve-out vanishes: everything sheds,
         // and those sheds are NOT attributed to the hot-key defense.
         s.processor_mut().set_external_pressure(0.97);
@@ -986,7 +979,7 @@ mod tests {
         assert_eq!(rs[1].status, Status::Ok);
         assert_eq!(rs[2].status, Status::Ok);
         assert_eq!(s.get(b"stale"), None, "expired PUT left no trace");
-        assert_eq!(s.overload_counters().shed_expired, 1);
+        assert_eq!(s.ledger().core.shed_expired, 1);
     }
 
     #[test]
@@ -1031,7 +1024,7 @@ mod tests {
         s.put(b"after", b"v")
             .expect("recovered store admits writes");
         assert!(!s.is_read_only());
-        let c = s.overload_counters();
+        let c = s.ledger().core;
         assert_eq!(c.read_only_entries, 1);
         assert_eq!(c.read_only_exits, 1);
         assert!(c.shed_read_only >= 1);
@@ -1054,10 +1047,10 @@ mod tests {
             assert_eq!(plain.get(&k), enabled.get(&k));
         }
         assert_eq!(plain.stats(), enabled.stats());
-        let c = enabled.overload_counters();
+        let c = enabled.ledger().core;
         assert_eq!(c.total_shed(), 0);
         assert_eq!(c.admitted, 600);
-        assert_eq!(plain.overload_counters().total_shed(), 0);
+        assert_eq!(plain.ledger().core.total_shed(), 0);
     }
 
     #[test]

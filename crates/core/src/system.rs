@@ -43,7 +43,6 @@ use kvd_sim::{
 };
 pub use kvd_sim::{Percentile, RunSummary};
 
-use crate::overload::OverloadCounters;
 use crate::store::{KvDirectConfig, KvDirectStore};
 
 /// Salt separating the network links' fault stream from the store's
@@ -89,14 +88,11 @@ impl SystemSimConfig {
 
 /// Result of a simulation run: the shared [`RunSummary`] accounting
 /// (throughput, goodput, latency percentiles — the report derefs to it),
-/// plus the store-side counter views and the full op-cost ledger.
+/// plus the fault view and the full op-cost ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSimReport {
     /// Core run accounting (ops, rates, latency summaries).
     pub summary: RunSummary,
-    /// Store-side overload rollup (admissions, sheds by reason,
-    /// degraded-mode transitions) — a view over `ledger.core`.
-    pub overload: OverloadCounters,
     /// Fault rollup across the store *and* both network links — a view
     /// over the ledger's fault channels.
     pub faults: FaultCounters,
@@ -826,7 +822,6 @@ impl SystemSim {
                 &self.get_hist,
                 &self.put_hist,
             ),
-            overload: self.store.overload_counters(),
             faults: self.fault_counters(),
             ledger: self.ledger(),
         }
@@ -1050,7 +1045,7 @@ mod tests {
         // not the pipeline's idle capacity.
         let ms = r.elapsed.as_secs_f64() * 1e3;
         assert!((1.9..2.5).contains(&ms), "makespan {ms}ms off schedule");
-        assert_eq!(r.overload.total_shed(), 0);
+        assert_eq!(r.ledger.core.total_shed(), 0);
         assert_eq!(r.faults.total_faults(), 0);
     }
 
@@ -1083,8 +1078,8 @@ mod tests {
         assert_eq!(r.get_latency.count + r.put_latency.count, r.ops - dropped);
         // Shed/expired ops surface in the store rollup or the client-side
         // expiry count; the controller actually flipped.
-        assert_eq!(r.overload.shed_overload, r.shed_ops);
-        assert!(r.expired_ops >= r.overload.shed_expired);
+        assert_eq!(r.ledger.core.shed_overload, r.shed_ops);
+        assert!(r.expired_ops >= r.ledger.core.shed_expired);
         assert!(r.goodput_mops <= r.mops);
     }
 

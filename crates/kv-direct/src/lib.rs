@@ -45,9 +45,9 @@
 pub use kvd_core::{
     builtin, tick_of_us, AdmissionController, ClusterReport, ClusterSim, ClusterSimConfig,
     HotKeyConfig, KvDirectConfig, KvDirectStore, KvProcessor, Lambda, LambdaRegistry,
-    MultiNicStore, NodeKill, OpRecord, OverloadConfig, OverloadCounters, ParallelSimConfig,
-    ParallelSimReport, ParallelSystemSim, StoreError, SystemModel, ThroughputBreakdown, Watermarks,
-    WorkloadSpec, EXPIRY_TICK_US,
+    MultiNicStore, NodeKill, OpRecord, OverloadConfig, ParallelSimConfig, ParallelSimReport,
+    ParallelSystemSim, StoreError, SystemModel, ThroughputBreakdown, Watermarks, WorkloadSpec,
+    EXPIRY_TICK_US,
 };
 pub use kvd_net::{
     decode_packet, decode_packet_ref, encode_packet, HashRing, KvRequest, KvRequestRef, KvResponse,

@@ -32,5 +32,5 @@ pub mod station;
 pub use pipeline::{simulate_throughput, PipelineConfig, PipelineResult, SimOp};
 pub use station::{
     Admission, Completion, KvOpKind, OpResult, ReservationStation, StationConfig, StationOp,
-    StationStats, UpdateFn, Writeback,
+    UpdateFn, Writeback,
 };

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use kvd_sim::{CostSource, OpLedger};
+use kvd_sim::{CostSource, OpLedger, StationCosts};
 
 /// The transform of an atomic update: old value → new value.
 ///
@@ -142,28 +142,6 @@ struct Slot {
     cache: Option<Cached>,
 }
 
-/// Counters exposed for the evaluation (merge rate, write-backs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StationStats {
-    /// Operations served by the fast path or chain forwarding (the
-    /// paper's "merged" operations — up to 15% under long-tail).
-    pub forwarded: u64,
-    /// Operations issued to the main pipeline.
-    pub issued: u64,
-    /// Operations that had to queue.
-    pub queued: u64,
-    /// Dirty-cache write-backs emitted.
-    pub writebacks: u64,
-    /// Admissions rejected for capacity.
-    pub rejected: u64,
-    /// Busy slots reclaimed because the issued operation failed (e.g. a
-    /// DMA tag timed out and the retry budget ran out).
-    pub reclaimed: u64,
-    /// Peak operations tracked at once — how close the run came to the
-    /// station's capacity envelope.
-    pub high_water: u64,
-}
-
 /// The reservation station (paper Figure 4, §3.3.3).
 ///
 /// # Examples
@@ -191,7 +169,7 @@ pub struct ReservationStation {
     cfg: StationConfig,
     slots: Vec<Slot>,
     total_tracked: usize,
-    stats: StationStats,
+    stats: StationCosts,
     /// One bit per hash slot: set iff the slot holds a dirty cache, so
     /// [`flush`] scans words instead of every slot.
     ///
@@ -220,7 +198,7 @@ impl ReservationStation {
             cfg,
             slots,
             total_tracked: 0,
-            stats: StationStats::default(),
+            stats: StationCosts::default(),
             dirty_bits: vec![0; cfg.hash_slots.div_ceil(64)],
             spare: Vec::new(),
             // Enough for every slot's cache plus the in-flight envelope;
@@ -231,7 +209,7 @@ impl ReservationStation {
     }
 
     /// Counters.
-    pub fn stats(&self) -> StationStats {
+    pub fn stats(&self) -> StationCosts {
         self.stats
     }
 
@@ -357,7 +335,7 @@ impl ReservationStation {
 
     fn take_writeback(
         slot: &mut Slot,
-        stats: &mut StationStats,
+        stats: &mut StationCosts,
         dirty_bits: &mut [u64],
         idx: usize,
         spare: &mut Vec<Vec<u8>>,
@@ -582,14 +560,7 @@ fn kvd_station_hash(key: &[u8]) -> u64 {
 
 impl CostSource for ReservationStation {
     fn emit_costs(&self, out: &mut OpLedger) {
-        let s = &self.stats;
-        out.station.forwarded += s.forwarded;
-        out.station.issued += s.issued;
-        out.station.queued += s.queued;
-        out.station.writebacks += s.writebacks;
-        out.station.rejected += s.rejected;
-        out.station.reclaimed += s.reclaimed;
-        out.station.high_water = out.station.high_water.max(s.high_water);
+        out.station.merge(&self.stats);
     }
 }
 

@@ -22,6 +22,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use kvd_server::{run_load, LoadConfig, ReconnectPolicy};
+use kvd_sim::Histogram;
 use kvd_workloads::YcsbPreset;
 
 fn usage() -> ! {
@@ -32,6 +33,17 @@ fn usage() -> ! {
          [--zipf THETA] [--hot-shift N] [--fallback HOST:PORT]..."
     );
     exit(2)
+}
+
+/// The open-loop latency summary line. [`Histogram::percentile`] takes a
+/// percent, so p99 is `percentile(99.0)`.
+fn latency_line(latency_us: &Histogram) -> String {
+    format!(
+        "open-loop latency p50 {} us, p95 {} us, p99 {} us",
+        latency_us.percentile(50.0),
+        latency_us.percentile(95.0),
+        latency_us.percentile(99.0)
+    )
 }
 
 fn main() {
@@ -148,13 +160,29 @@ fn main() {
         "  hits {} / misses {} / stored {} / errors {} / reconnects {}",
         report.hits, report.misses, report.stored, report.errors, report.reconnects
     );
-    println!(
-        "  open-loop latency p50 {} us, p95 {} us, p99 {} us",
-        report.latency_us.percentile(0.50),
-        report.latency_us.percentile(0.95),
-        report.latency_us.percentile(0.99)
-    );
+    println!("  {}", latency_line(&report.latency_us));
     if report.errors > 0 {
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_line_reports_percent_percentiles() {
+        let mut h = Histogram::new();
+        for us in 1..=1_000 {
+            h.record(us);
+        }
+        let (p50, p95, p99) = (h.percentile(50.0), h.percentile(95.0), h.percentile(99.0));
+        // Bucketing is coarse but monotone. A fraction passed where a
+        // percent is expected would print the 1st percentile as "p99".
+        assert!(p99 > 900 && p50 < p95 && p95 <= p99, "{p50} {p95} {p99}");
+        assert_eq!(
+            latency_line(&h),
+            format!("open-loop latency p50 {p50} us, p95 {p95} us, p99 {p99} us")
+        );
     }
 }

@@ -260,12 +260,17 @@ fn preload(cfg: &LoadConfig) -> io::Result<u64> {
     Ok(reconnects)
 }
 
+/// A [`ChaosConfig::bursty`] schedule rescaled so its long-run mean
+/// offered rate is `rate` ops/sec.
+fn bursty_schedule(rate: f64, seed: u64) -> ChaosSchedule {
+    let mut chaos = ChaosConfig::bursty(rate);
+    chaos.base_rate /= chaos.mean_multiplier();
+    ChaosSchedule::new(chaos, seed)
+}
+
 fn run_conn(cfg: &LoadConfig, conn: usize, t0: Instant) -> io::Result<LoadReport> {
-    let per_conn_rate = cfg.rate / cfg.connections as f64;
-    // `bursty` phase multipliers average ~1.375; normalize so the mean
-    // offered rate is as configured (same correction as the chaos soak).
-    let mut chaos = ChaosSchedule::new(
-        ChaosConfig::bursty(per_conn_rate / 1.375),
+    let mut chaos = bursty_schedule(
+        cfg.rate / cfg.connections as f64,
         cfg.seed ^ (conn as u64).wrapping_mul(0x9E37_79B9),
     );
     let arrivals = chaos.arrivals(cfg.ops_per_conn);
@@ -469,6 +474,21 @@ impl RespReader {
 mod tests {
     use super::*;
     use crate::server::{serve, ServerConfig};
+
+    #[test]
+    fn bursty_schedule_offers_the_requested_mean_rate() {
+        // Thousands of phases: the realized mean (total ops over total
+        // time) converges on the requested rate.
+        let rate = 1e5;
+        let phases = bursty_schedule(rate, 0x5C4E).phases(2_000_000);
+        let ops: usize = phases.iter().map(|p| p.ops).sum();
+        let secs: f64 = phases.iter().map(|p| p.ops as f64 / p.rate).sum();
+        let mean = ops as f64 / secs;
+        assert!(
+            (mean / rate - 1.0).abs() < 0.05,
+            "mean offered rate {mean:.0} vs requested {rate:.0}"
+        );
+    }
 
     #[test]
     fn backoff_sequence_is_jittered_exponential() {

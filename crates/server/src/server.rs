@@ -225,73 +225,27 @@ enum ShardMsg {
     Ledger(mpsc::Sender<OpLedger>),
 }
 
-/// Live protocol counters shared by all connections.
+/// Live protocol counters shared by all connections: one atomic per
+/// [`ServerCosts`] field, in its declaration order.
 #[derive(Default)]
-struct SharedCosts {
-    connections: AtomicU64,
-    disconnects: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames: AtomicU64,
-    requests: AtomicU64,
-    get_hits: AtomicU64,
-    get_misses: AtomicU64,
-    stored: AtomicU64,
-    not_stored: AtomicU64,
-    deleted: AtomicU64,
-    touched: AtomicU64,
-    protocol_errors: AtomicU64,
-    server_errors: AtomicU64,
-    not_primary: AtomicU64,
-}
+struct SharedCosts([AtomicU64; ServerCosts::FIELDS.len()]);
 
 impl SharedCosts {
     fn fold(&self, c: &ServerCosts) {
-        macro_rules! fold {
-            ($($f:ident),+ $(,)?) => { $(self.$f.fetch_add(c.$f, Ordering::Relaxed);)+ };
+        for ((_, v), a) in c.fields().zip(&self.0) {
+            // Untouched fields skip the atomic add.
+            if v != 0 {
+                a.fetch_add(v, Ordering::Relaxed);
+            }
         }
-        fold!(
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary,
-        );
     }
 
     fn snapshot(&self) -> ServerCosts {
-        macro_rules! snap {
-            ($($f:ident),+ $(,)?) => {
-                ServerCosts { $($f: self.$f.load(Ordering::Relaxed)),+ }
-            };
+        let mut out = ServerCosts::default();
+        for ((_, v), a) in out.fields_mut().zip(&self.0) {
+            *v = a.load(Ordering::Relaxed);
         }
-        snap!(
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary,
-        )
+        out
     }
 }
 
@@ -413,7 +367,10 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
                 match listener.accept() {
                     Ok((stream, _)) => {
                         active.fetch_add(1, Ordering::SeqCst);
-                        costs.connections.fetch_add(1, Ordering::Relaxed);
+                        costs.fold(&ServerCosts {
+                            connections: 1,
+                            ..ServerCosts::default()
+                        });
                         let shutdown = Arc::clone(&shutdown);
                         let active = Arc::clone(&active);
                         let costs = Arc::clone(&costs);
@@ -461,7 +418,10 @@ struct ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.active.fetch_sub(1, Ordering::SeqCst);
-        self.costs.disconnects.fetch_add(1, Ordering::Relaxed);
+        self.costs.fold(&ServerCosts {
+            disconnects: 1,
+            ..ServerCosts::default()
+        });
     }
 }
 

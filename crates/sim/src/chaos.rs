@@ -40,6 +40,18 @@ impl ChaosConfig {
             multipliers: vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0],
         }
     }
+
+    /// The schedule's long-run mean rate as a multiple of `base_rate`.
+    ///
+    /// Phase lengths are drawn independently of the multiplier, so every
+    /// phase carries the same expected op count and spends time inversely
+    /// proportional to its multiplier. The mean rate is therefore the
+    /// *harmonic* mean of the palette (≈0.706 for [`Self::bursty`]), not
+    /// its arithmetic mean (1.375).
+    pub fn mean_multiplier(&self) -> f64 {
+        let inverse_sum: f64 = self.multipliers.iter().map(|m| 1.0 / m).sum();
+        self.multipliers.len() as f64 / inverse_sum
+    }
 }
 
 /// One burst/lull phase of the schedule.
@@ -155,6 +167,12 @@ mod tests {
         gaps.sort_unstable();
         gaps.dedup();
         assert!(gaps.len() >= 3, "expected bursty gaps, got {gaps:?}");
+    }
+
+    #[test]
+    fn bursty_mean_multiplier_is_the_harmonic_mean() {
+        let m = ChaosConfig::bursty(1.0).mean_multiplier();
+        assert!((m - 6.0 / 8.5).abs() < 1e-12, "{m}");
     }
 
     #[test]

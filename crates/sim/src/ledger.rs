@@ -1,33 +1,33 @@
 //! The op-cost ledger: one typed, mergeable account of where every
 //! byte, line and cycle went.
 //!
-//! Before this module, the workspace reported costs through four ad-hoc
-//! planes grown PR-by-PR — `ProcessorStats`, [`FaultCounters`],
-//! `OverloadCounters` and bare `u64` host-traffic sums threaded
-//! hand-over-hand between the sharded simulator and the host arbiter.
-//! [`OpLedger`] replaces the *accumulation* layer underneath all of
-//! them: each hardware model emits its counters into the ledger through
-//! one narrow trait ([`CostSource`]), and the legacy structs become pure
-//! *views* over ledger sections ([`OpLedger::fault_view`] and friends in
-//! `kvd-core`).
+//! Each hardware model emits its counters into an [`OpLedger`] through
+//! one narrow trait ([`CostSource`]). The ledger is the one book; the
+//! remaining rollups (`ProcessorStats`, [`FaultCounters`], the
+//! `PressureGauge`) are *views* computed from its sections.
 //!
 //! Design rules, mirroring the fault plane's:
 //!
+//! * **Declared once.** Every section except the [`LatencyCosts`] matrix
+//!   is a `ledger_section!` declaration that lists each field once, as a
+//!   `sum` counter or a `max` gauge. The declaration generates `merge`,
+//!   `since` and a field visitor, and the components that own a section
+//!   count straight into that section type.
 //! * **Mergeable.** [`OpLedger::merge`] is associative and commutative
 //!   with the zero ledger as identity: event counters add, capacity
-//!   gauges ([`PressureTerms`], the station high-water mark) take the
-//!   component-wise maximum. Both operations are exact over `u64`, so
-//!   merging N shard ledgers in shard order is bit-identical for any
-//!   worker count — the property `tests/parallel_determinism.rs` pins.
+//!   gauges ([`PressureTerms`], the station high-water mark, the cluster
+//!   failover depth) take the maximum. Both operations are exact over
+//!   `u64`, so merging N shard ledgers in shard order is bit-identical
+//!   for any worker count — the property `tests/parallel_determinism.rs`
+//!   pins.
 //! * **Window deltas are views.** [`OpLedger::since`] subtracts an
 //!   earlier snapshot, which is how the parallel engine's per-window
 //!   host-traffic charge ([`OpLedger::host_lines`]) is derived instead
 //!   of hand-plumbed as a bare `u64`.
-//! * **Zero-overhead when idle.** Components do not write the ledger on
-//!   their hot paths; they keep their existing counters and *emit* them
-//!   on demand ([`CostSource::emit_costs`]), so a build that never
-//!   collects a ledger executes exactly the same instructions as one
-//!   that predates it.
+//! * **Zero-overhead when idle.** Components do not write the shared
+//!   ledger on their hot paths; they increment their own section with a
+//!   plain `u64 +=` and *emit* it on demand ([`CostSource::emit_costs`]),
+//!   so a build that never collects a ledger pays nothing for it.
 
 use crate::fault::FaultCounters;
 
@@ -108,311 +108,394 @@ impl OpClass {
     }
 }
 
-/// Network-plane costs: wire traffic, batch fill, drops and client-side
-/// expiry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetCosts {
-    /// Packets serialized onto a link (retransmissions included).
-    pub packets: u64,
-    /// Payload bytes carried by those packets.
-    pub payload_bytes: u64,
-    /// Retransmissions after an injected drop.
-    pub retransmits: u64,
-    /// Packets the fault plane dropped.
-    pub drops: u64,
-    /// Packets the fault plane reordered.
-    pub reorders: u64,
-    /// Request batches that reached the wire.
-    pub batches: u64,
-    /// Live operations those batches carried (`batch_ops / batches` is
-    /// the mean batch fill).
-    pub batch_ops: u64,
-    /// Requests dropped at the client because their deadline had passed
-    /// before transmission.
-    pub client_expired: u64,
+/// Declares one ledger section: every field is listed here once, with its
+/// doc comment and its kind.
+///
+/// * `sum` — an event counter: `merge` adds, `since` subtracts
+///   (saturating).
+/// * `max` — a capacity gauge: `merge` takes the maximum (the worst any
+///   shard saw), `since` keeps the current value.
+///
+/// The declaration expands to the struct (every field a `pub u64`),
+/// `merge`, `since`, and the field visitor — `FIELDS`, `fields` and
+/// `fields_mut`, all in declaration order — so a field added to a
+/// declaration reaches every fold, delta and mirror with no other edit.
+macro_rules! ledger_section {
+    (
+        $(#[doc = $doc:literal])*
+        pub struct $name:ident {
+            $( $(#[doc = $fdoc:literal])* $field:ident: $kind:ident, )+
+        }
+    ) => {
+        $(#[doc = $doc])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $name {
+            $( $(#[doc = $fdoc])* pub $field: u64, )+
+        }
+
+        impl $name {
+            /// Field names, in declaration order.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
+
+            /// Accumulates `other` into this section: counters add, gauges
+            /// take the maximum.
+            pub fn merge(&mut self, other: &$name) {
+                $( ledger_section!(@merge $kind, self.$field, other.$field); )+
+            }
+
+            /// The delta since an `earlier` snapshot: counters subtract
+            /// (saturating), gauges keep their current value.
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name {
+                    $( $field: ledger_section!(@since $kind, self.$field, earlier.$field), )+
+                }
+            }
+
+            /// `(name, value)` of every field, in [`Self::FIELDS`] order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                Self::FIELDS.iter().copied().zip([$(self.$field),+])
+            }
+
+            /// `(name, &mut value)` of every field, in [`Self::FIELDS`]
+            /// order.
+            pub fn fields_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut u64)> + '_ {
+                Self::FIELDS.iter().copied().zip([$(&mut self.$field),+])
+            }
+        }
+    };
+    (@merge sum, $a:expr, $b:expr) => { $a += $b };
+    (@merge max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@since sum, $a:expr, $b:expr) => { $a.saturating_sub($b) };
+    (@since max, $a:expr, $b:expr) => {{
+        let _ = $b;
+        $a
+    }};
 }
 
-/// PCIe-plane costs: DMA traffic, tag/credit stalls and link faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PcieCosts {
-    /// DMA read requests (64 B lines) issued to host memory.
-    pub dma_reads: u64,
-    /// DMA write requests issued to host memory.
-    pub dma_writes: u64,
-    /// Payload bytes moved by DMA reads.
-    pub read_bytes: u64,
-    /// Payload bytes moved by DMA writes.
-    pub write_bytes: u64,
-    /// Issue stalls waiting for a free read tag.
-    pub tag_stalls: u64,
-    /// Issue stalls waiting for flow-control credits.
-    pub credit_stalls: u64,
-    /// Corrupted TLPs injected by the fault plane.
-    pub corruptions: u64,
-    /// Replayed (duplicate) TLPs injected.
-    pub replays: u64,
-    /// Read-tag timeouts injected.
-    pub timeouts: u64,
-    /// Recovery retries performed because of an injected fault.
-    pub retries: u64,
-    /// Transactions abandoned after the retry budget ran out.
-    pub exhausted: u64,
+ledger_section! {
+    /// Network-plane costs: wire traffic, batch fill, drops and client-side
+    /// expiry.
+    pub struct NetCosts {
+        /// Packets serialized onto a link (retransmissions included).
+        packets: sum,
+        /// Payload bytes carried by those packets.
+        payload_bytes: sum,
+        /// Retransmissions after an injected drop.
+        retransmits: sum,
+        /// Packets the fault plane dropped.
+        drops: sum,
+        /// Packets the fault plane reordered.
+        reorders: sum,
+        /// Request batches that reached the wire.
+        batches: sum,
+        /// Live operations those batches carried (`batch_ops / batches` is
+        /// the mean batch fill).
+        batch_ops: sum,
+        /// Requests dropped at the client because their deadline had passed
+        /// before transmission.
+        client_expired: sum,
+    }
 }
 
-/// DRAM-plane costs: NIC DRAM lines, cache behavior and ECC recovery.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramCosts {
-    /// NIC DRAM line reads.
-    pub reads: u64,
-    /// NIC DRAM line writes.
-    pub writes: u64,
-    /// NIC DRAM cache hits.
-    pub cache_hits: u64,
-    /// NIC DRAM cache misses.
-    pub cache_misses: u64,
-    /// Single-bit errors corrected by ECC.
-    pub corrected: u64,
-    /// Multi-bit errors ECC could only detect.
-    pub uncorrectable: u64,
-    /// Host-memory stall events.
-    pub host_stalls: u64,
-    /// Lines refetched from host memory after an uncorrectable error.
-    pub refetches: u64,
-    /// Dirty lines salvaged to host before a refetch.
-    pub rescue_writebacks: u64,
+ledger_section! {
+    /// PCIe-plane costs: DMA traffic, tag/credit stalls and link faults.
+    pub struct PcieCosts {
+        /// DMA read requests (64 B lines) issued to host memory.
+        dma_reads: sum,
+        /// DMA write requests issued to host memory.
+        dma_writes: sum,
+        /// Payload bytes moved by DMA reads.
+        read_bytes: sum,
+        /// Payload bytes moved by DMA writes.
+        write_bytes: sum,
+        /// Issue stalls waiting for a free read tag.
+        tag_stalls: sum,
+        /// Issue stalls waiting for flow-control credits.
+        credit_stalls: sum,
+        /// Corrupted TLPs injected by the fault plane.
+        corruptions: sum,
+        /// Replayed (duplicate) TLPs injected.
+        replays: sum,
+        /// Read-tag timeouts injected.
+        timeouts: sum,
+        /// Recovery retries performed because of an injected fault.
+        retries: sum,
+        /// Transactions abandoned after the retry budget ran out.
+        exhausted: sum,
+    }
 }
 
-/// Reservation-station costs: occupancy and forwarding behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StationCosts {
-    /// Results served from the forwarding cache without touching memory.
-    pub forwarded: u64,
-    /// Operations issued to the execution pipeline.
-    pub issued: u64,
-    /// Operations queued behind a same-key operation.
-    pub queued: u64,
-    /// Dirty cache values written back to memory.
-    pub writebacks: u64,
-    /// Admissions rejected because the station was full.
-    pub rejected: u64,
-    /// Slots reclaimed without installing a forwarding value (device
-    /// errors).
-    pub reclaimed: u64,
-    /// High-water mark of tracked operations (merged by maximum: the
-    /// worst occupancy any shard saw).
-    pub high_water: u64,
+ledger_section! {
+    /// DRAM-plane costs: NIC DRAM lines, cache behavior and ECC recovery.
+    pub struct DramCosts {
+        /// NIC DRAM line reads.
+        reads: sum,
+        /// NIC DRAM line writes.
+        writes: sum,
+        /// NIC DRAM cache hits.
+        cache_hits: sum,
+        /// NIC DRAM cache misses.
+        cache_misses: sum,
+        /// Single-bit errors corrected by ECC.
+        corrected: sum,
+        /// Multi-bit errors ECC could only detect.
+        uncorrectable: sum,
+        /// Host-memory stall events.
+        host_stalls: sum,
+        /// Lines refetched from host memory after an uncorrectable error.
+        refetches: sum,
+        /// Dirty lines salvaged to host before a refetch.
+        rescue_writebacks: sum,
+    }
 }
 
-/// Slab-allocator costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlabCosts {
-    /// Allocations served.
-    pub allocs: u64,
-    /// Frees accepted.
-    pub frees: u64,
-    /// Allocations that failed (out of memory).
-    pub failed_allocs: u64,
-    /// NIC-to-host free-list synchronization DMAs.
-    pub dma_syncs: u64,
-    /// Free-list entries moved by those syncs.
-    pub entries_synced: u64,
-    /// Block splits performed to serve a smaller class.
-    pub splits: u64,
-    /// Buddy merges performed by the lazy merger.
-    pub merges: u64,
-    /// Merge passes executed.
-    pub merge_passes: u64,
+ledger_section! {
+    /// Reservation-station costs: occupancy and forwarding behavior.
+    pub struct StationCosts {
+        /// Results served from the forwarding cache without touching memory
+        /// (the paper's "merged" operations — up to 15% under long-tail).
+        forwarded: sum,
+        /// Operations issued to the execution pipeline.
+        issued: sum,
+        /// Operations queued behind a same-key operation.
+        queued: sum,
+        /// Dirty cache values written back to memory.
+        writebacks: sum,
+        /// Admissions rejected because the station was full.
+        rejected: sum,
+        /// Slots reclaimed without installing a forwarding value (device
+        /// errors).
+        reclaimed: sum,
+        /// High-water mark of tracked operations (merged by maximum: the
+        /// worst occupancy any shard saw).
+        high_water: max,
+    }
 }
 
-/// Serving-front-end costs: what the memcache-protocol server layer
-/// spent translating real client traffic into KV operations. These sit
-/// *above* the network plane ([`NetCosts`] accounts the simulated wire;
-/// this section accounts the protocol boundary): frames decoded, bytes
-/// moved through real sockets, and the protocol-level outcome mix, so
-/// serving overhead is attributed exactly like every simulated
-/// component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCosts {
-    /// TCP connections accepted.
-    pub connections: u64,
-    /// Connections closed (client EOF, `quit`, or a fatal protocol
-    /// error).
-    pub disconnects: u64,
-    /// Bytes read off client sockets.
-    pub bytes_in: u64,
-    /// Bytes written back to client sockets.
-    pub bytes_out: u64,
-    /// Complete protocol frames (command line + any data block) decoded.
-    pub frames: u64,
-    /// KV operations those frames produced (a multi-key `get` is one
-    /// frame, many operations).
-    pub requests: u64,
-    /// GET operations answered with a value.
-    pub get_hits: u64,
-    /// GET operations answered with a miss.
-    pub get_misses: u64,
-    /// Storage commands acknowledged `STORED`.
-    pub stored: u64,
-    /// Storage commands answered `NOT_STORED` (failed `add`/`replace`
-    /// precondition).
-    pub not_stored: u64,
-    /// `delete` commands acknowledged `DELETED`.
-    pub deleted: u64,
-    /// `touch` commands acknowledged `TOUCHED` (lifetime re-stamped
-    /// without moving the value).
-    pub touched: u64,
-    /// Client mistakes answered `ERROR`/`CLIENT_ERROR`.
-    pub protocol_errors: u64,
-    /// Store-side failures answered `SERVER_ERROR` (every taxonomy
-    /// class: `device_error`, `overloaded`, `not_primary`, allocation).
-    pub server_errors: u64,
-    /// Requests refused with `SERVER_ERROR not_primary` because this
-    /// node does not own the key under the cluster ring (also counted in
-    /// [`Self::server_errors`]).
-    pub not_primary: u64,
+ledger_section! {
+    /// Slab-allocator costs.
+    pub struct SlabCosts {
+        /// Allocations served.
+        allocs: sum,
+        /// Frees accepted.
+        frees: sum,
+        /// Allocations that failed (out of memory).
+        failed_allocs: sum,
+        /// NIC-to-host free-list synchronization DMAs.
+        dma_syncs: sum,
+        /// Free-list entries moved by those syncs.
+        entries_synced: sum,
+        /// Block splits performed to serve a smaller class.
+        splits: sum,
+        /// Buddy merges performed by the lazy merger.
+        merges: sum,
+        /// Merge passes executed.
+        merge_passes: sum,
+    }
 }
 
-/// Cluster-plane costs: replication and heartbeat traffic between
-/// simulated hosts, plus failover-protocol events. Replication frames
-/// ride the inter-node links (`kvd_sim::cluster::NodeLink`), so the
-/// throughput cost of RF=2/3 shows up here as measured bytes rather
-/// than a modeling assumption.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterCosts {
-    /// Replicate frames forwarded down a chain (head → … → tail).
-    pub rep_frames: u64,
-    /// Payload bytes carried by those frames.
-    pub rep_bytes: u64,
-    /// Chain acknowledgements (tail apply → head/client).
-    pub rep_acks: u64,
-    /// Backup applies re-staged after a device fault.
-    pub rep_retries: u64,
-    /// Heartbeat frames broadcast between nodes.
-    pub heartbeats: u64,
-    /// Heartbeat payload bytes.
-    pub hb_bytes: u64,
-    /// Whole-node kills injected by the cluster fault plane.
-    pub node_kills: u64,
-    /// Dead nodes detected via missed heartbeats.
-    pub failovers: u64,
-    /// Chain promotions performed after a detection.
-    pub promotions: u64,
-    /// In-flight writes re-driven past a dead chain member.
-    pub orphan_redrives: u64,
-    /// Client-side retries against a survivor after failover.
-    pub client_retries: u64,
-    /// Reads hedged to another replica during the failover window.
-    pub hedged_reads: u64,
-    /// Writes acknowledged after the tail applied them.
-    pub writes_acked: u64,
-    /// Writes that failed without an acknowledgement (retry budget or
-    /// unavailability).
-    pub writes_failed: u64,
-    /// Gauge: cluster windows between a node kill and its detection (the
-    /// failover-window depth; merged by maximum).
-    pub failover_depth_windows: u64,
+ledger_section! {
+    /// Serving-front-end costs: what the memcache-protocol server layer
+    /// spent translating real client traffic into KV operations. These sit
+    /// *above* the network plane ([`NetCosts`] accounts the simulated wire;
+    /// this section accounts the protocol boundary): frames decoded, bytes
+    /// moved through real sockets, and the protocol-level outcome mix, so
+    /// serving overhead is attributed exactly like every simulated
+    /// component.
+    pub struct ServerCosts {
+        /// TCP connections accepted.
+        connections: sum,
+        /// Connections closed (client EOF, `quit`, or a fatal protocol
+        /// error).
+        disconnects: sum,
+        /// Bytes read off client sockets.
+        bytes_in: sum,
+        /// Bytes written back to client sockets.
+        bytes_out: sum,
+        /// Complete protocol frames (command line + any data block) decoded.
+        frames: sum,
+        /// KV operations those frames produced (a multi-key `get` is one
+        /// frame, many operations).
+        requests: sum,
+        /// GET operations answered with a value.
+        get_hits: sum,
+        /// GET operations answered with a miss.
+        get_misses: sum,
+        /// Storage commands acknowledged `STORED`.
+        stored: sum,
+        /// Storage commands answered `NOT_STORED` (failed `add`/`replace`
+        /// precondition).
+        not_stored: sum,
+        /// `delete` commands acknowledged `DELETED`.
+        deleted: sum,
+        /// `touch` commands acknowledged `TOUCHED` (lifetime re-stamped
+        /// without moving the value).
+        touched: sum,
+        /// Client mistakes answered `ERROR`/`CLIENT_ERROR`.
+        protocol_errors: sum,
+        /// Store-side failures answered `SERVER_ERROR` (every taxonomy
+        /// class: `device_error`, `overloaded`, `not_primary`, allocation).
+        server_errors: sum,
+        /// Requests refused with `SERVER_ERROR not_primary` because this
+        /// node does not own the key under the cluster ring (also counted in
+        /// [`Self::server_errors`]).
+        not_primary: sum,
+    }
 }
 
-/// Entry-lifecycle costs: TTL-stamped writes, lazy expiry on the probe
-/// paths, and the background reaper's bounded sweeps. All counters sum
-/// on merge, so the section is bit-identical across worker counts like
-/// every other plane.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpiryCosts {
-    /// PUTs that carried a nonzero lifecycle stamp.
-    pub ttl_puts: u64,
-    /// Successful stamp rewrites (`touch`).
-    pub touches: u64,
-    /// Dead entries discovered lazily by foreground probes
-    /// (GET/DELETE/touch): each was answered as a miss and reclaimed.
-    pub lazy_expired: u64,
-    /// Dead entries overwritten in place by a PUT of the same key.
-    pub expired_overwrites: u64,
-    /// Entries reclaimed through the free path (lazily or by the reaper).
-    pub reaped_entries: u64,
-    /// Logical KV bytes those reclaimed entries held.
-    pub reaped_bytes: u64,
-    /// Bounded reaper passes run.
-    pub sweep_passes: u64,
-    /// Bucket frames (primary + chained) the reaper scanned.
-    pub sweep_buckets: u64,
+ledger_section! {
+    /// Cluster-plane costs: replication and heartbeat traffic between
+    /// simulated hosts, plus failover-protocol events. Replication frames
+    /// ride the inter-node links (`kvd_sim::cluster::NodeLink`), so the
+    /// throughput cost of RF=2/3 shows up here as measured bytes rather
+    /// than a modeling assumption.
+    pub struct ClusterCosts {
+        /// Replicate frames forwarded down a chain (head → … → tail).
+        rep_frames: sum,
+        /// Payload bytes carried by those frames.
+        rep_bytes: sum,
+        /// Chain acknowledgements (tail apply → head/client).
+        rep_acks: sum,
+        /// Backup applies re-staged after a device fault.
+        rep_retries: sum,
+        /// Heartbeat frames broadcast between nodes.
+        heartbeats: sum,
+        /// Heartbeat payload bytes.
+        hb_bytes: sum,
+        /// Whole-node kills injected by the cluster fault plane.
+        node_kills: sum,
+        /// Dead nodes detected via missed heartbeats.
+        failovers: sum,
+        /// Chain promotions performed after a detection.
+        promotions: sum,
+        /// In-flight writes re-driven past a dead chain member.
+        orphan_redrives: sum,
+        /// Client-side retries against a survivor after failover.
+        client_retries: sum,
+        /// Reads hedged to another replica during the failover window.
+        hedged_reads: sum,
+        /// Writes acknowledged after the tail applied them.
+        writes_acked: sum,
+        /// Writes that failed without an acknowledgement (retry budget or
+        /// unavailability).
+        writes_failed: sum,
+        /// Gauge: cluster windows between a node kill and its detection (the
+        /// failover-window depth; merged by maximum).
+        failover_depth_windows: max,
+    }
 }
 
-/// Adaptive-cache-plane costs: frequency-sketch sampling, TinyLFU fill
-/// admission, eviction quality, online retune steps, and the hot-key
-/// sheds the heavy-hitter rollup feeds into admission control. All
-/// counters sum on merge, preserving the bit-identical determinism
-/// contract across worker counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCosts {
-    /// Line accesses the frequency sketch sampled.
-    pub sketch_samples: u64,
-    /// Cache fills performed (admission granted, or the plane disabled).
-    pub admitted_fills: u64,
-    /// Conflict fills the TinyLFU admission rejected.
-    pub rejected_fills: u64,
-    /// Valid lines displaced clean by a fill.
-    pub evict_clean: u64,
-    /// Valid lines displaced dirty by a fill (write-back traffic).
-    pub evict_dirty: u64,
-    /// Fills that displaced a valid line (conflict misses).
-    pub conflict_fills: u64,
-    /// Retune steps that moved the load-dispatch threshold.
-    pub retune_steps: u64,
-    /// Resident lines retired by threshold-migration sweeps.
-    pub demoted_lines: u64,
-    /// Requests shed because their key was a tracked heavy hitter during
-    /// overload (per-hot-key shedding instead of across-the-board).
-    pub hot_key_sheds: u64,
+ledger_section! {
+    /// Entry-lifecycle costs: TTL-stamped writes, lazy expiry on the probe
+    /// paths, and the background reaper's bounded sweeps. All counters sum
+    /// on merge, so the section is bit-identical across worker counts like
+    /// every other plane.
+    pub struct ExpiryCosts {
+        /// PUTs that carried a nonzero lifecycle stamp.
+        ttl_puts: sum,
+        /// Successful stamp rewrites (`touch`).
+        touches: sum,
+        /// Dead entries discovered lazily by foreground probes
+        /// (GET/DELETE/touch): each was answered as a miss and reclaimed.
+        lazy_expired: sum,
+        /// Dead entries overwritten in place by a PUT of the same key.
+        expired_overwrites: sum,
+        /// Entries reclaimed through the free path (lazily or by the reaper).
+        reaped_entries: sum,
+        /// Logical KV bytes those reclaimed entries held.
+        reaped_bytes: sum,
+        /// Bounded reaper passes run.
+        sweep_passes: sum,
+        /// Bucket frames (primary + chained) the reaper scanned.
+        sweep_buckets: sum,
+    }
 }
 
-/// KV-processor costs: request mix, retire outcomes and overload-plane
-/// decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreCosts {
-    /// Requests executed.
-    pub requests: u64,
-    /// Read-only requests (GET/REDUCE/FILTER).
-    pub reads: u64,
-    /// PUT requests.
-    pub puts: u64,
-    /// DELETE requests.
-    pub deletes: u64,
-    /// Atomic update requests (scalar or vector).
-    pub updates: u64,
-    /// Requests rejected as invalid (unknown λ, wrong type, oversized).
-    pub invalid: u64,
-    /// Requests that hit out-of-memory.
-    pub oom: u64,
-    /// Station write-backs that failed.
-    pub writeback_failures: u64,
-    /// Memory transactions re-run after a recoverable injected fault.
-    pub fault_retries: u64,
-    /// Requests failed with `DeviceError` after the retry budget ran out.
-    pub device_errors: u64,
-    /// Requests that passed every overload gate.
-    pub admitted: u64,
-    /// Requests shed by the admission controller.
-    pub shed_overload: u64,
-    /// Requests dropped at the server because their deadline had passed.
-    pub shed_expired: u64,
-    /// Writes shed while in read-only degraded mode.
-    pub shed_read_only: u64,
-    /// Entries into read-only mode.
-    pub read_only_entries: u64,
-    /// Exits from read-only mode.
-    pub read_only_exits: u64,
-    /// Admission-controller state flips (both directions).
-    pub shed_transitions: u64,
-    /// Station-retired operations that completed `Ok` (detail mode only;
-    /// see `KvProcessor::set_ledger_detail`).
-    pub retired_ok: u64,
-    /// Station-retired operations that completed `NotFound` (detail mode
-    /// only).
-    pub retired_not_found: u64,
-    /// Station-retired operations that completed with any error status
-    /// (detail mode only).
-    pub retired_failed: u64,
+ledger_section! {
+    /// Adaptive-cache-plane costs: frequency-sketch sampling, TinyLFU fill
+    /// admission, eviction quality, online retune steps, and the hot-key
+    /// sheds the heavy-hitter rollup feeds into admission control. All
+    /// counters sum on merge, preserving the bit-identical determinism
+    /// contract across worker counts.
+    pub struct CacheCosts {
+        /// Line accesses the frequency sketch sampled.
+        sketch_samples: sum,
+        /// Cache fills performed (admission granted, or the plane disabled).
+        admitted_fills: sum,
+        /// Conflict fills the TinyLFU admission rejected.
+        rejected_fills: sum,
+        /// Valid lines displaced clean by a fill.
+        evict_clean: sum,
+        /// Valid lines displaced dirty by a fill (write-back traffic).
+        evict_dirty: sum,
+        /// Fills that displaced a valid line (conflict misses).
+        conflict_fills: sum,
+        /// Retune steps that moved the load-dispatch threshold.
+        retune_steps: sum,
+        /// Resident lines retired by threshold-migration sweeps.
+        demoted_lines: sum,
+        /// Requests shed because their key was a tracked heavy hitter during
+        /// overload (per-hot-key shedding instead of across-the-board).
+        hot_key_sheds: sum,
+    }
+}
+
+ledger_section! {
+    /// KV-processor costs: request mix, retire outcomes and overload-plane
+    /// decisions.
+    pub struct CoreCosts {
+        /// Requests executed.
+        requests: sum,
+        /// Read-only requests (GET/REDUCE/FILTER).
+        reads: sum,
+        /// PUT requests.
+        puts: sum,
+        /// DELETE requests.
+        deletes: sum,
+        /// Atomic update requests (scalar or vector).
+        updates: sum,
+        /// Requests rejected as invalid (unknown λ, wrong type, oversized).
+        invalid: sum,
+        /// Requests that hit out-of-memory.
+        oom: sum,
+        /// Station write-backs that failed.
+        writeback_failures: sum,
+        /// Memory transactions re-run after a recoverable injected fault.
+        fault_retries: sum,
+        /// Requests failed with `DeviceError` after the retry budget ran out.
+        device_errors: sum,
+        /// Requests that passed every overload gate.
+        admitted: sum,
+        /// Requests shed by the admission controller.
+        shed_overload: sum,
+        /// Requests dropped at the server because their deadline had passed.
+        shed_expired: sum,
+        /// Writes shed while in read-only degraded mode.
+        shed_read_only: sum,
+        /// Entries into read-only mode.
+        read_only_entries: sum,
+        /// Exits from read-only mode.
+        read_only_exits: sum,
+        /// Admission-controller state flips (both directions).
+        shed_transitions: sum,
+        /// Station-retired operations that completed `Ok` (detail mode only;
+        /// see `KvProcessor::set_ledger_detail`).
+        retired_ok: sum,
+        /// Station-retired operations that completed `NotFound` (detail mode
+        /// only).
+        retired_not_found: sum,
+        /// Station-retired operations that completed with any error status
+        /// (detail mode only).
+        retired_failed: sum,
+    }
+}
+
+impl CoreCosts {
+    /// Requests shed for any reason (overload, expired deadline,
+    /// read-only mode).
+    pub fn total_shed(&self) -> u64 {
+        self.shed_overload + self.shed_expired + self.shed_read_only
+    }
 }
 
 /// Per-class, per-component latency attribution in picoseconds.
@@ -497,436 +580,30 @@ impl LatencyCosts {
     }
 }
 
-/// Raw backpressure terms the `PressureGauge` is computed from, all in
-/// integer picoseconds so shard merges stay exact.
-///
-/// These are *gauges* (latest sample), not event counters: merging takes
-/// the component-wise maximum — the worst backlog any shard reported —
-/// which is associative, commutative and has the zero term as identity,
-/// exactly like the counter sums.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PressureTerms {
-    /// Decode backlog at the last batch cut (how far the server's decode
-    /// clock ran ahead of the batch's arrival).
-    pub station_backlog_ps: u64,
-    /// The station capacity envelope: one decode cycle times the station's
-    /// operation capacity.
-    pub station_cap_ps: u64,
-    /// PCIe service backlog at the last batch cut.
-    pub tag_backlog_ps: u64,
-    /// The tag-pool capacity envelope: per-line service time times the
-    /// total read tags across endpoints.
-    pub tag_cap_ps: u64,
-    /// Host-arbiter stall of the previous lockstep window.
-    pub stall_ps: u64,
-    /// The arbiter's synchronization quantum.
-    pub quantum_ps: u64,
-}
-
-impl PressureTerms {
-    fn merge(&mut self, other: &PressureTerms) {
-        self.station_backlog_ps = self.station_backlog_ps.max(other.station_backlog_ps);
-        self.station_cap_ps = self.station_cap_ps.max(other.station_cap_ps);
-        self.tag_backlog_ps = self.tag_backlog_ps.max(other.tag_backlog_ps);
-        self.tag_cap_ps = self.tag_cap_ps.max(other.tag_cap_ps);
-        self.stall_ps = self.stall_ps.max(other.stall_ps);
-        self.quantum_ps = self.quantum_ps.max(other.quantum_ps);
-    }
-}
-
-macro_rules! sum_fields {
-    ($self:ident, $other:ident, $($field:ident),+ $(,)?) => {
-        $( $self.$field += $other.$field; )+
-    };
-}
-
-macro_rules! sub_fields {
-    ($out:ident, $earlier:ident, $($field:ident),+ $(,)?) => {
-        $( $out.$field = $out.$field.saturating_sub($earlier.$field); )+
-    };
-}
-
-impl NetCosts {
-    fn merge(&mut self, other: &NetCosts) {
-        sum_fields!(
-            self,
-            other,
-            packets,
-            payload_bytes,
-            retransmits,
-            drops,
-            reorders,
-            batches,
-            batch_ops,
-            client_expired
-        );
-    }
-
-    fn since(&self, earlier: &NetCosts) -> NetCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            packets,
-            payload_bytes,
-            retransmits,
-            drops,
-            reorders,
-            batches,
-            batch_ops,
-            client_expired
-        );
-        out
-    }
-}
-
-impl PcieCosts {
-    fn merge(&mut self, other: &PcieCosts) {
-        sum_fields!(
-            self,
-            other,
-            dma_reads,
-            dma_writes,
-            read_bytes,
-            write_bytes,
-            tag_stalls,
-            credit_stalls,
-            corruptions,
-            replays,
-            timeouts,
-            retries,
-            exhausted
-        );
-    }
-
-    fn since(&self, earlier: &PcieCosts) -> PcieCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            dma_reads,
-            dma_writes,
-            read_bytes,
-            write_bytes,
-            tag_stalls,
-            credit_stalls,
-            corruptions,
-            replays,
-            timeouts,
-            retries,
-            exhausted
-        );
-        out
-    }
-}
-
-impl DramCosts {
-    fn merge(&mut self, other: &DramCosts) {
-        sum_fields!(
-            self,
-            other,
-            reads,
-            writes,
-            cache_hits,
-            cache_misses,
-            corrected,
-            uncorrectable,
-            host_stalls,
-            refetches,
-            rescue_writebacks
-        );
-    }
-
-    fn since(&self, earlier: &DramCosts) -> DramCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            reads,
-            writes,
-            cache_hits,
-            cache_misses,
-            corrected,
-            uncorrectable,
-            host_stalls,
-            refetches,
-            rescue_writebacks
-        );
-        out
-    }
-}
-
-impl StationCosts {
-    fn merge(&mut self, other: &StationCosts) {
-        sum_fields!(self, other, forwarded, issued, queued, writebacks, rejected, reclaimed);
-        self.high_water = self.high_water.max(other.high_water);
-    }
-
-    fn since(&self, earlier: &StationCosts) -> StationCosts {
-        let mut out = *self;
-        sub_fields!(out, earlier, forwarded, issued, queued, writebacks, rejected, reclaimed);
-        // `high_water` is a gauge: the delta keeps the current mark.
-        out
-    }
-}
-
-impl SlabCosts {
-    fn merge(&mut self, other: &SlabCosts) {
-        sum_fields!(
-            self,
-            other,
-            allocs,
-            frees,
-            failed_allocs,
-            dma_syncs,
-            entries_synced,
-            splits,
-            merges,
-            merge_passes
-        );
-    }
-
-    fn since(&self, earlier: &SlabCosts) -> SlabCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            allocs,
-            frees,
-            failed_allocs,
-            dma_syncs,
-            entries_synced,
-            splits,
-            merges,
-            merge_passes
-        );
-        out
-    }
-}
-
-impl ServerCosts {
-    fn merge(&mut self, other: &ServerCosts) {
-        sum_fields!(
-            self,
-            other,
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary
-        );
-    }
-
-    fn since(&self, earlier: &ServerCosts) -> ServerCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            connections,
-            disconnects,
-            bytes_in,
-            bytes_out,
-            frames,
-            requests,
-            get_hits,
-            get_misses,
-            stored,
-            not_stored,
-            deleted,
-            touched,
-            protocol_errors,
-            server_errors,
-            not_primary
-        );
-        out
-    }
-}
-
-impl ClusterCosts {
-    fn merge(&mut self, other: &ClusterCosts) {
-        sum_fields!(
-            self,
-            other,
-            rep_frames,
-            rep_bytes,
-            rep_acks,
-            rep_retries,
-            heartbeats,
-            hb_bytes,
-            node_kills,
-            failovers,
-            promotions,
-            orphan_redrives,
-            client_retries,
-            hedged_reads,
-            writes_acked,
-            writes_failed
-        );
-        self.failover_depth_windows = self
-            .failover_depth_windows
-            .max(other.failover_depth_windows);
-    }
-
-    fn since(&self, earlier: &ClusterCosts) -> ClusterCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            rep_frames,
-            rep_bytes,
-            rep_acks,
-            rep_retries,
-            heartbeats,
-            hb_bytes,
-            node_kills,
-            failovers,
-            promotions,
-            orphan_redrives,
-            client_retries,
-            hedged_reads,
-            writes_acked,
-            writes_failed
-        );
-        // `failover_depth_windows` is a gauge: the delta keeps the mark.
-        out
-    }
-}
-
-impl ExpiryCosts {
-    fn merge(&mut self, other: &ExpiryCosts) {
-        sum_fields!(
-            self,
-            other,
-            ttl_puts,
-            touches,
-            lazy_expired,
-            expired_overwrites,
-            reaped_entries,
-            reaped_bytes,
-            sweep_passes,
-            sweep_buckets
-        );
-    }
-
-    fn since(&self, earlier: &ExpiryCosts) -> ExpiryCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            ttl_puts,
-            touches,
-            lazy_expired,
-            expired_overwrites,
-            reaped_entries,
-            reaped_bytes,
-            sweep_passes,
-            sweep_buckets
-        );
-        out
-    }
-}
-
-impl CacheCosts {
-    fn merge(&mut self, other: &CacheCosts) {
-        sum_fields!(
-            self,
-            other,
-            sketch_samples,
-            admitted_fills,
-            rejected_fills,
-            evict_clean,
-            evict_dirty,
-            conflict_fills,
-            retune_steps,
-            demoted_lines,
-            hot_key_sheds
-        );
-    }
-
-    fn since(&self, earlier: &CacheCosts) -> CacheCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            sketch_samples,
-            admitted_fills,
-            rejected_fills,
-            evict_clean,
-            evict_dirty,
-            conflict_fills,
-            retune_steps,
-            demoted_lines,
-            hot_key_sheds
-        );
-        out
-    }
-}
-
-impl CoreCosts {
-    fn merge(&mut self, other: &CoreCosts) {
-        sum_fields!(
-            self,
-            other,
-            requests,
-            reads,
-            puts,
-            deletes,
-            updates,
-            invalid,
-            oom,
-            writeback_failures,
-            fault_retries,
-            device_errors,
-            admitted,
-            shed_overload,
-            shed_expired,
-            shed_read_only,
-            read_only_entries,
-            read_only_exits,
-            shed_transitions,
-            retired_ok,
-            retired_not_found,
-            retired_failed
-        );
-    }
-
-    fn since(&self, earlier: &CoreCosts) -> CoreCosts {
-        let mut out = *self;
-        sub_fields!(
-            out,
-            earlier,
-            requests,
-            reads,
-            puts,
-            deletes,
-            updates,
-            invalid,
-            oom,
-            writeback_failures,
-            fault_retries,
-            device_errors,
-            admitted,
-            shed_overload,
-            shed_expired,
-            shed_read_only,
-            read_only_entries,
-            read_only_exits,
-            shed_transitions,
-            retired_ok,
-            retired_not_found,
-            retired_failed
-        );
-        out
+ledger_section! {
+    /// Raw backpressure terms the `PressureGauge` is computed from, all in
+    /// integer picoseconds so shard merges stay exact.
+    ///
+    /// These are *gauges* (latest sample), not event counters: merging takes
+    /// the component-wise maximum — the worst backlog any shard reported —
+    /// which is associative, commutative and has the zero term as identity,
+    /// exactly like the counter sums.
+    pub struct PressureTerms {
+        /// Decode backlog at the last batch cut (how far the server's decode
+        /// clock ran ahead of the batch's arrival).
+        station_backlog_ps: max,
+        /// The station capacity envelope: one decode cycle times the station's
+        /// operation capacity.
+        station_cap_ps: max,
+        /// PCIe service backlog at the last batch cut.
+        tag_backlog_ps: max,
+        /// The tag-pool capacity envelope: per-line service time times the
+        /// total read tags across endpoints.
+        tag_cap_ps: max,
+        /// Host-arbiter stall of the previous lockstep window.
+        stall_ps: max,
+        /// The arbiter's synchronization quantum.
+        quantum_ps: max,
     }
 }
 
@@ -999,8 +676,28 @@ impl OpLedger {
             server: self.server.since(&earlier.server),
             cluster: self.cluster.since(&earlier.cluster),
             latency: self.latency.since(&earlier.latency),
-            pressure: self.pressure,
+            pressure: self.pressure.since(&earlier.pressure),
         }
+    }
+
+    /// Visits every field of every declared section as `(section, field,
+    /// value)`, in declaration order. The [`LatencyCosts`] matrix is read
+    /// through its own accessors and is not visited.
+    pub fn visit(&self, mut f: impl FnMut(&'static str, &'static str, u64)) {
+        self.clone()
+            .visit_mut(|section, field, v| f(section, field, *v));
+    }
+
+    /// [`Self::visit`] with mutable access to each field.
+    pub fn visit_mut(&mut self, mut f: impl FnMut(&'static str, &'static str, &mut u64)) {
+        macro_rules! visit {
+            ($($section:ident),+) => {$(
+                for (field, v) in self.$section.fields_mut() {
+                    f(stringify!($section), field, v);
+                }
+            )+};
+        }
+        visit!(net, pcie, dram, station, slab, expiry, cache, core, server, cluster, pressure);
     }
 
     /// Host-memory cache lines this ledger accounts for (PCIe DMA reads
@@ -1050,158 +747,24 @@ mod tests {
     use crate::rng::DetRng;
 
     /// A ledger with every field filled from a seeded stream, exercising
-    /// all sections in merge laws.
+    /// all sections in merge laws. Declared sections are filled through
+    /// the visitor, so a newly declared field is covered automatically.
     fn random_ledger(seed: u64) -> OpLedger {
         let mut rng = DetRng::seed(seed);
-        let mut r = || rng.u64_below(1 << 20);
-        OpLedger {
-            net: NetCosts {
-                packets: r(),
-                payload_bytes: r(),
-                retransmits: r(),
-                drops: r(),
-                reorders: r(),
-                batches: r(),
-                batch_ops: r(),
-                client_expired: r(),
-            },
-            pcie: PcieCosts {
-                dma_reads: r(),
-                dma_writes: r(),
-                read_bytes: r(),
-                write_bytes: r(),
-                tag_stalls: r(),
-                credit_stalls: r(),
-                corruptions: r(),
-                replays: r(),
-                timeouts: r(),
-                retries: r(),
-                exhausted: r(),
-            },
-            dram: DramCosts {
-                reads: r(),
-                writes: r(),
-                cache_hits: r(),
-                cache_misses: r(),
-                corrected: r(),
-                uncorrectable: r(),
-                host_stalls: r(),
-                refetches: r(),
-                rescue_writebacks: r(),
-            },
-            station: StationCosts {
-                forwarded: r(),
-                issued: r(),
-                queued: r(),
-                writebacks: r(),
-                rejected: r(),
-                reclaimed: r(),
-                high_water: r(),
-            },
-            slab: SlabCosts {
-                allocs: r(),
-                frees: r(),
-                failed_allocs: r(),
-                dma_syncs: r(),
-                entries_synced: r(),
-                splits: r(),
-                merges: r(),
-                merge_passes: r(),
-            },
-            expiry: ExpiryCosts {
-                ttl_puts: r(),
-                touches: r(),
-                lazy_expired: r(),
-                expired_overwrites: r(),
-                reaped_entries: r(),
-                reaped_bytes: r(),
-                sweep_passes: r(),
-                sweep_buckets: r(),
-            },
-            cache: CacheCosts {
-                sketch_samples: r(),
-                admitted_fills: r(),
-                rejected_fills: r(),
-                evict_clean: r(),
-                evict_dirty: r(),
-                conflict_fills: r(),
-                retune_steps: r(),
-                demoted_lines: r(),
-                hot_key_sheds: r(),
-            },
-            core: CoreCosts {
-                requests: r(),
-                reads: r(),
-                puts: r(),
-                deletes: r(),
-                updates: r(),
-                invalid: r(),
-                oom: r(),
-                writeback_failures: r(),
-                fault_retries: r(),
-                device_errors: r(),
-                admitted: r(),
-                shed_overload: r(),
-                shed_expired: r(),
-                shed_read_only: r(),
-                read_only_entries: r(),
-                read_only_exits: r(),
-                shed_transitions: r(),
-                retired_ok: r(),
-                retired_not_found: r(),
-                retired_failed: r(),
-            },
-            server: ServerCosts {
-                connections: r(),
-                disconnects: r(),
-                bytes_in: r(),
-                bytes_out: r(),
-                frames: r(),
-                requests: r(),
-                get_hits: r(),
-                get_misses: r(),
-                stored: r(),
-                not_stored: r(),
-                deleted: r(),
-                touched: r(),
-                protocol_errors: r(),
-                server_errors: r(),
-                not_primary: r(),
-            },
-            cluster: ClusterCosts {
-                rep_frames: r(),
-                rep_bytes: r(),
-                rep_acks: r(),
-                rep_retries: r(),
-                heartbeats: r(),
-                hb_bytes: r(),
-                node_kills: r(),
-                failovers: r(),
-                promotions: r(),
-                orphan_redrives: r(),
-                client_retries: r(),
-                hedged_reads: r(),
-                writes_acked: r(),
-                writes_failed: r(),
-                failover_depth_windows: r(),
-            },
-            latency: LatencyCosts {
-                ps: [
-                    [r(), r(), r(), r()],
-                    [r(), r(), r(), r()],
-                    [r(), r(), r(), r()],
-                ],
-                ops: [r(), r(), r()],
-            },
-            pressure: PressureTerms {
-                station_backlog_ps: r(),
-                station_cap_ps: r(),
-                tag_backlog_ps: r(),
-                tag_cap_ps: r(),
-                stall_ps: r(),
-                quantum_ps: r(),
-            },
+        let mut l = OpLedger::default();
+        l.visit_mut(|_, _, v| *v = 1 + rng.u64_below(1 << 20));
+        let lat = &mut l.latency;
+        for v in lat.ps.iter_mut().flatten().chain(&mut lat.ops) {
+            *v = 1 + rng.u64_below(1 << 20);
         }
+        l
+    }
+
+    /// Fields merged by maximum; every other declared field is a counter.
+    fn is_gauge(section: &str, field: &str) -> bool {
+        section == "pressure"
+            || (section, field) == ("station", "high_water")
+            || (section, field) == ("cluster", "failover_depth_windows")
     }
 
     fn merged(a: &OpLedger, b: &OpLedger) -> OpLedger {
@@ -1231,30 +794,67 @@ mod tests {
     }
 
     #[test]
+    fn visitor_reaches_every_field_of_every_section() {
+        let mut sections = Vec::new();
+        let mut fields = 0;
+        random_ledger(3).visit(|section, _, v| {
+            assert_ne!(v, 0, "{section}: a field escaped the fill");
+            if sections.last() != Some(&section) {
+                sections.push(section);
+            }
+            fields += 1;
+        });
+        assert_eq!(
+            sections,
+            [
+                "net", "pcie", "dram", "station", "slab", "expiry", "cache", "core", "server",
+                "cluster", "pressure"
+            ]
+        );
+        assert_eq!(fields, 8 + 11 + 9 + 7 + 8 + 8 + 9 + 20 + 15 + 15 + 6);
+    }
+
+    #[test]
+    fn merge_sums_counters_and_maxes_gauges() {
+        let (a, b) = (random_ledger(5), random_ledger(6));
+        let m = merged(&a, &b);
+        let (mut va, mut vb) = (Vec::new(), Vec::new());
+        a.visit(|_, _, v| va.push(v));
+        b.visit(|_, _, v| vb.push(v));
+        let mut i = 0;
+        m.visit(|section, field, v| {
+            let want = if is_gauge(section, field) {
+                va[i].max(vb[i])
+            } else {
+                va[i] + vb[i]
+            };
+            assert_eq!(v, want, "{section}.{field}");
+            i += 1;
+        });
+    }
+
+    #[test]
     fn since_inverts_merge_for_counters() {
         let base = random_ledger(7);
         let delta = random_ledger(8);
         let total = merged(&base, &delta);
         let got = total.since(&base);
-        // Counter sections round-trip exactly.
-        assert_eq!(got.net, delta.net);
-        assert_eq!(got.pcie, delta.pcie);
-        assert_eq!(got.dram, delta.dram);
-        assert_eq!(got.slab, delta.slab);
-        assert_eq!(got.expiry, delta.expiry);
-        assert_eq!(got.cache, delta.cache);
-        assert_eq!(got.core, delta.core);
-        assert_eq!(got.server, delta.server);
+        // Counters round-trip exactly; gauges keep their merged (max)
+        // value.
+        let (mut want_delta, mut want_total) = (Vec::new(), Vec::new());
+        delta.visit(|_, _, v| want_delta.push(v));
+        total.visit(|_, _, v| want_total.push(v));
+        let mut i = 0;
+        got.visit(|section, field, v| {
+            let want = if is_gauge(section, field) {
+                want_total[i]
+            } else {
+                want_delta[i]
+            };
+            assert_eq!(v, want, "{section}.{field}");
+            i += 1;
+        });
         assert_eq!(got.latency, delta.latency);
-        // Gauges keep their merged (max) value.
-        assert_eq!(got.pressure, total.pressure);
-        assert_eq!(got.station.high_water, total.station.high_water);
-        assert_eq!(
-            got.cluster.failover_depth_windows,
-            total.cluster.failover_depth_windows
-        );
-        assert_eq!(got.cluster.rep_frames, delta.cluster.rep_frames);
-        assert_eq!(got.cluster.writes_acked, delta.cluster.writes_acked);
     }
 
     #[test]

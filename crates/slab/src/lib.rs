@@ -34,5 +34,5 @@ pub use daemon::{
     spawn as spawn_concurrent_slab, ConcurrentSlabConfig, DaemonHandle, DaemonStats, NicAllocator,
 };
 pub use merge::{merge_bitmap, merge_radix, MergeOutcome};
-pub use slab::{SlabAddr, SlabAllocator, SlabConfig, SlabStats};
+pub use slab::{SlabAddr, SlabAllocator, SlabConfig};
 pub use spsc::SpscRing;

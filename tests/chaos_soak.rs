@@ -1,11 +1,11 @@
 //! Chaos soak: bursty overload + fault injection + consistency checking.
 //!
 //! The full overload plane under the worst conditions the simulator can
-//! produce: an open-loop client offering ~2x the measured saturation
-//! throughput in bursty phases (0.5x–6x swings from the chaos
-//! scheduler), PR-1 fault rates on every component (PCIe corruption,
-//! DRAM bit errors, packet drops/reorders), admission control and
-//! deadlines enabled. Three invariant families are enforced:
+//! produce: an open-loop client offering a nominal 2x the measured
+//! saturation throughput (≈1.03x on average, see `soak_schedule`) in
+//! bursty phases (≈0.36x–4.4x swings from the chaos scheduler), 1% fault
+//! rates on every component (PCIe corruption, DRAM bit errors, packet
+//! drops/reorders), admission control and deadlines enabled. Three invariant families are enforced:
 //!
 //! 1. **Sequential consistency per key** — keys are shard-partitioned
 //!    and each shard executes its stream in order, so replaying each
@@ -14,7 +14,8 @@
 //!    lost writes, no resurrection of failed writes), versions embedded
 //!    in values never run backwards, and shed/expired/faulted ops have
 //!    no effect.
-//! 2. **Goodput holds at the knee** — at ~2x offered load, goodput stays
+//! 2. **Goodput holds at the knee** — at the nominal 2x offered load
+//!    (bursts well past saturation, ≈1.03x on average), goodput stays
 //!    at or above 70% of the measured saturation throughput instead of
 //!    collapsing.
 //! 3. **Determinism** — the whole soak, faults and sheds included, is
@@ -100,8 +101,12 @@ fn saturation_mops(seed: u64) -> f64 {
 
 /// Bursty open-loop schedule offering `offered_mops` on average.
 fn soak_schedule(seed: u64, offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
-    // `ChaosConfig::bursty` phase multipliers average ~1.37; divide it
-    // out so the schedule's mean rate is the requested offered load.
+    // Dividing by the palette's arithmetic mean (1.375) under-offers:
+    // the time-weighted mean rate is the harmonic mean
+    // (`ChaosConfig::mean_multiplier`, ≈0.706), so the schedule offers
+    // ≈0.51x `offered_mops` on average. Kept as-is here so the soak's
+    // load and thresholds stay unchanged; a known defect to correct
+    // separately.
     let base = offered_mops * 1e6 / 1.375;
     let mut chaos = ChaosSchedule::new(ChaosConfig::bursty(base), seed ^ 0xB0057);
     let arrivals = chaos.arrivals(OPS);
@@ -233,7 +238,8 @@ fn chaos_soak_consistency_holds_across_seeds() {
             report.faults.total_faults() > 0,
             "seed {seed}: fault plane must actually fire"
         );
-        // The knee: goodput at 2x offered load stays within 70% of the
+        // The knee: goodput at the nominal 2x offered load stays within
+        // 70% of the
         // fault-free saturation throughput — shed, don't collapse.
         assert!(
             report.goodput_mops >= 0.7 * sat,

@@ -1,8 +1,9 @@
 //! Hot-key soak: the adversarial Zipf-1.2 mix against the hot-key-aware
 //! adaptive cache plane.
 //!
-//! An open-loop client offers ~4x the closed-loop throughput of
-//! a bursty (0.5x–6x phase swings) Zipf-1.2 stream whose hot set shifts
+//! An open-loop client offers a nominal 4x the closed-loop throughput
+//! (≈2.05x on average, see `soak_schedule`) of a bursty (≈0.73x–8.7x
+//! phase swings) Zipf-1.2 stream whose hot set shifts
 //! wholesale at the midpoint — the workload the ROADMAP's hot-key open
 //! item names as the collapse case for the paper's static policies.
 //! The engine runs with the full adaptive plane: frequency sketch,
@@ -14,9 +15,10 @@
 //!    strictly exceeds the spread traffic's shed rate, and at least one
 //!    shed is attributed to the hot-key carve-out
 //!    (`CacheCosts::hot_key_sheds`).
-//! 2. **Goodput holds** — at ~4x offered load the engine keeps serving:
-//!    goodput stays at or above 60% of the closed-loop saturation
-//!    throughput instead of collapsing under the celebrity keys.
+//! 2. **Goodput holds** — at the nominal 4x offered load the engine keeps
+//!    serving: goodput stays at or above 60% of the closed-loop
+//!    saturation throughput instead of collapsing under the celebrity
+//!    keys.
 //! 3. **Determinism** — sketch sampling, admission, retuning and
 //!    shedding included, the merged report is bit-identical across
 //!    worker counts for a fixed seed.
@@ -75,8 +77,12 @@ fn saturation_mops() -> f64 {
 
 /// Bursty open-loop schedule offering `offered_mops` on average.
 fn soak_schedule(offered_mops: f64) -> Vec<(SimTime, KvRequest)> {
-    // `ChaosConfig::bursty` phase multipliers average ~1.37; divide it
-    // out so the schedule's mean rate is the requested offered load.
+    // Dividing by the palette's arithmetic mean (1.375) under-offers:
+    // the time-weighted mean rate is the harmonic mean
+    // (`ChaosConfig::mean_multiplier`, ≈0.706), so the schedule offers
+    // ≈0.51x `offered_mops` on average. Kept as-is here so the soak's
+    // load and thresholds stay unchanged; a known defect to correct
+    // separately.
     let base = offered_mops * 1e6 / 1.375;
     let mut chaos = ChaosSchedule::new(ChaosConfig::bursty(base), SEED ^ 0xB0057);
     chaos
@@ -148,8 +154,8 @@ fn hot_keys_shed_first_and_goodput_holds() {
         "admission decided fills: {cache:?}"
     );
 
-    // Sheds happen at 4x offered load, and the hot-key carve-out
-    // attributes some of them to provably hot keys.
+    // Sheds happen at the nominal 4x (≈2x mean) offered load, and the
+    // hot-key carve-out attributes some of them to provably hot keys.
     assert!(report.shed_ops > 0, "4x offered load must shed");
     assert!(
         cache.hot_key_sheds > 0,

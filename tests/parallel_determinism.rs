@@ -250,93 +250,13 @@ fn worker_count_does_not_change_merged_ledger() {
 }
 
 /// A ledger with every counter (and gauge) populated from `seed` —
-/// random enough that a non-associative merge would be caught.
+/// random enough that a non-associative merge would be caught. Declared
+/// sections are filled through the field visitor, so every field of
+/// every section (a newly declared one included) enters the merge laws.
 fn random_ledger(seed: u64) -> OpLedger {
     let mut rng = DetRng::seed(seed);
     let mut l = OpLedger::default();
-    macro_rules! fill {
-        ($($f:expr),+ $(,)?) => { $( $f = rng.u64_below(1 << 16); )+ };
-    }
-    fill!(
-        l.net.packets,
-        l.net.payload_bytes,
-        l.net.retransmits,
-        l.net.drops,
-        l.net.reorders,
-        l.net.batches,
-        l.net.batch_ops,
-        l.net.client_expired,
-        l.pcie.dma_reads,
-        l.pcie.dma_writes,
-        l.pcie.read_bytes,
-        l.pcie.write_bytes,
-        l.pcie.tag_stalls,
-        l.pcie.credit_stalls,
-        l.pcie.corruptions,
-        l.pcie.replays,
-        l.pcie.timeouts,
-        l.pcie.retries,
-        l.pcie.exhausted,
-        l.dram.reads,
-        l.dram.writes,
-        l.dram.cache_hits,
-        l.dram.cache_misses,
-        l.dram.corrected,
-        l.dram.uncorrectable,
-        l.dram.host_stalls,
-        l.dram.refetches,
-        l.dram.rescue_writebacks,
-        l.station.forwarded,
-        l.station.issued,
-        l.station.queued,
-        l.station.writebacks,
-        l.station.rejected,
-        l.station.reclaimed,
-        l.station.high_water,
-        l.slab.allocs,
-        l.slab.frees,
-        l.slab.failed_allocs,
-        l.slab.dma_syncs,
-        l.slab.entries_synced,
-        l.slab.splits,
-        l.slab.merges,
-        l.slab.merge_passes,
-        l.core.requests,
-        l.core.reads,
-        l.core.puts,
-        l.core.deletes,
-        l.core.updates,
-        l.core.invalid,
-        l.core.oom,
-        l.core.writeback_failures,
-        l.core.fault_retries,
-        l.core.device_errors,
-        l.core.admitted,
-        l.core.shed_overload,
-        l.core.shed_expired,
-        l.core.shed_read_only,
-        l.core.read_only_entries,
-        l.core.read_only_exits,
-        l.core.shed_transitions,
-        l.core.retired_ok,
-        l.core.retired_not_found,
-        l.core.retired_failed,
-        l.cache.sketch_samples,
-        l.cache.admitted_fills,
-        l.cache.rejected_fills,
-        l.cache.evict_clean,
-        l.cache.evict_dirty,
-        l.cache.conflict_fills,
-        l.cache.retune_steps,
-        l.cache.demoted_lines,
-        l.cache.hot_key_sheds,
-        l.pressure.station_backlog_ps,
-        l.pressure.station_cap_ps,
-        l.pressure.tag_backlog_ps,
-        l.pressure.tag_cap_ps,
-        l.pressure.stall_ps,
-        l.pressure.quantum_ps,
-    );
+    l.visit_mut(|_, _, v| *v = rng.u64_below(1 << 16));
     for class in OpClass::ALL {
         for _ in 0..rng.u64_below(4) {
             l.latency.record(
