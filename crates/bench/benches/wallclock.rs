@@ -178,8 +178,9 @@ fn allocs_per_get() -> f64 {
 /// (answered req/s, goodput req/s) of the TCP memcache front-end: a
 /// loopback `kvd-server` driven by the open-loop load client at an
 /// offered rate well above loopback capacity, so answered RPS measures
-/// the server, not the schedule. Requests cross a real TCP stack into
-/// the shard workers' pooled `execute_batch_refs_into` path.
+/// the server, not the schedule. Requests cross a real TCP stack and run
+/// to completion on their connection thread, through the pooled
+/// `execute_batch_refs_into` path under each shard's lock.
 fn server_rps() -> (f64, f64) {
     let shards = std::thread::available_parallelism()
         .map(|p| p.get().min(4))

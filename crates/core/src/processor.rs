@@ -13,7 +13,7 @@ use std::sync::Arc;
 use kvd_hash::{HashError, HashTable, HashTableConfig};
 use kvd_mem::MemoryEngine;
 use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
-use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp};
+use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp, Writeback};
 use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
 
 use crate::lambda::{decode_scalar, decode_vector, encode_vector, Lambda, LambdaRegistry};
@@ -159,6 +159,8 @@ pub struct KvProcessor<M: MemoryEngine> {
     /// carried. Cleared at every batch boundary; empty (and untouched)
     /// for workloads that never stamp anything.
     pending_ttl: HashMap<Vec<u8>, u32>,
+    /// Reused list of the station's end-of-batch write-backs.
+    writebacks: Vec<Writeback>,
     /// Set once any request carries a lifecycle stamp (PUT with TTL, or
     /// touch). Gates the clock-advance cache invalidation so stampless
     /// workloads keep bit-identical forwarding behaviour.
@@ -208,6 +210,7 @@ impl<M: MemoryEngine> KvProcessor<M> {
             now: SimTime::ZERO,
             read_only: false,
             pending_ttl: HashMap::new(),
+            writebacks: Vec::new(),
             ttl_seen: false,
             ledger: OpLedger::default(),
         }
@@ -550,10 +553,13 @@ impl<M: MemoryEngine> KvProcessor<M> {
         while !self.inflight.is_empty() {
             self.retire_one();
         }
-        for (key, value) in self.station.flush() {
+        let mut writebacks = std::mem::take(&mut self.writebacks);
+        self.station.flush_into(&mut writebacks);
+        for (key, value) in writebacks.drain(..) {
             self.apply_writeback(&key, value);
             self.station.give(key);
         }
+        self.writebacks = writebacks;
     }
 
     /// Builds the station operation (with its forwarding-compatible
@@ -896,15 +902,20 @@ impl<M: MemoryEngine> KvProcessor<M> {
     }
 
     /// Builds and stores the response for request `id`.
-    fn finish(&mut self, id: u64, value: Option<Vec<u8>>, status_override: Option<Status>) {
+    fn finish(&mut self, id: u64, mut value: Option<Vec<u8>>, status_override: Option<Status>) {
         let ctx = &self.ctxs[id as usize];
         let resp = match status_override {
             Some(status) => KvResponse {
                 status,
                 value: Vec::new(),
             },
-            None => build_response(ctx, value, &self.registry),
+            None => build_response(ctx, &mut value, &self.registry),
         };
+        // A result buffer the response does not carry (a PUT's or
+        // DELETE's displaced value) goes back to the pool.
+        if let Some(v) = value {
+            self.station.give(v);
+        }
         debug_assert!(
             self.responses[id as usize].is_none(),
             "response {id} produced twice"
@@ -935,10 +946,15 @@ impl<M: MemoryEngine + CostSource> CostSource for KvProcessor<M> {
     }
 }
 
-/// Builds the client-visible response from the station's result value.
-fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegistry) -> KvResponse {
+/// Builds the client-visible response from the station's result value,
+/// taking the buffer only when the response carries it.
+fn build_response(
+    ctx: &RespCtx,
+    value: &mut Option<Vec<u8>>,
+    registry: &LambdaRegistry,
+) -> KvResponse {
     match ctx.op {
-        OpCode::Get => match value {
+        OpCode::Get => match value.take() {
             Some(v) => KvResponse {
                 status: Status::Ok,
                 value: v,
@@ -964,7 +980,7 @@ fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegist
             status: Status::Ok,
             value: decode_scalar(value.as_deref()).to_le_bytes().to_vec(),
         },
-        OpCode::UpdateScalarToVector | OpCode::UpdateVector => match value {
+        OpCode::UpdateScalarToVector | OpCode::UpdateVector => match value.take() {
             Some(v) => KvResponse {
                 status: Status::Ok,
                 value: v,
@@ -974,14 +990,14 @@ fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegist
                 value: Vec::new(),
             },
         },
-        OpCode::Reduce => match value {
+        OpCode::Reduce => match value.as_deref() {
             Some(v) => {
                 let f = match registry.get(ctx.lambda) {
                     Some(Lambda::Reduce(f)) => f,
                     _ => unreachable!("validated at submission"),
                 };
                 let init = decode_scalar(Some(&ctx.param));
-                let acc = decode_vector(&v).into_iter().fold(init, |a, e| f(a, e));
+                let acc = decode_vector(v).into_iter().fold(init, |a, e| f(a, e));
                 KvResponse {
                     status: Status::Ok,
                     value: acc.to_le_bytes().to_vec(),
@@ -992,13 +1008,13 @@ fn build_response(ctx: &RespCtx, value: Option<Vec<u8>>, registry: &LambdaRegist
                 value: Vec::new(),
             },
         },
-        OpCode::Filter => match value {
+        OpCode::Filter => match value.as_deref() {
             Some(v) => {
                 let f = match registry.get(ctx.lambda) {
                     Some(Lambda::Filter(f)) => f,
                     _ => unreachable!("validated at submission"),
                 };
-                let kept: Vec<u64> = decode_vector(&v).into_iter().filter(|e| f(*e)).collect();
+                let kept: Vec<u64> = decode_vector(v).into_iter().filter(|e| f(*e)).collect();
                 KvResponse {
                     status: Status::Ok,
                     value: encode_vector(&kept),

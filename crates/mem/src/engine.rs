@@ -362,6 +362,8 @@ pub struct DispatchedMemory {
     faults: FaultPlane,
     ecc: EccStats,
     bypass_threshold: u64,
+    /// Reused copy of the bytes being written (see `write`).
+    write_buf: Vec<u8>,
 }
 
 impl DispatchedMemory {
@@ -390,6 +392,7 @@ impl DispatchedMemory {
             faults,
             ecc: EccStats::default(),
             bypass_threshold: DEFAULT_BYPASS_THRESHOLD,
+            write_buf: Vec::new(),
         }
     }
 
@@ -800,9 +803,13 @@ impl MemoryEngine for DispatchedMemory {
 
     fn write(&mut self, addr: u64, data: &[u8]) {
         // `access` needs a mutable buffer for the read path; writes only
-        // read from it. A copy keeps the public signature conventional.
-        let mut tmp = data.to_vec();
+        // read from it. A reused copy keeps the public signature
+        // conventional without allocating per write.
+        let mut tmp = std::mem::take(&mut self.write_buf);
+        tmp.clear();
+        tmp.extend_from_slice(data);
         self.access(addr, AccessKind::Write, &mut tmp);
+        self.write_buf = tmp;
     }
 
     fn capacity(&self) -> u64 {

@@ -467,6 +467,13 @@ impl ReservationStation {
     /// slot, still emitting write-backs in slot-index order.
     pub fn flush(&mut self) -> Vec<Writeback> {
         let mut out = Vec::new();
+        self.flush_into(&mut out);
+        out
+    }
+
+    /// [`flush`](ReservationStation::flush), appending the write-backs
+    /// to a caller-owned vector so a steady caller allocates nothing.
+    pub fn flush_into(&mut self, out: &mut Vec<Writeback>) {
         for w in 0..self.dirty_bits.len() {
             let mut bits = self.dirty_bits[w];
             self.dirty_bits[w] = 0;
@@ -485,7 +492,6 @@ impl ReservationStation {
                 out.push((key, value));
             }
         }
-        out
     }
 
     /// Drops every **clean** forwarding cache, pooling its buffers.

@@ -8,6 +8,7 @@
 //! Serves until killed; prints the bound address and layout on start.
 
 use std::env;
+use std::io::ErrorKind;
 use std::process::exit;
 use std::thread;
 use std::time::Duration;
@@ -39,13 +40,17 @@ fn main() {
     cfg.store.total_memory = memory_mb << 20;
     let handle = match serve(addr.as_str(), cfg) {
         Ok(h) => h,
+        Err(e) if e.kind() == ErrorKind::InvalidInput => {
+            eprintln!("kvd-server: {e}");
+            usage()
+        }
         Err(e) => {
             eprintln!("kvd-server: bind {addr}: {e}");
             exit(1);
         }
     };
     println!(
-        "kvd-server listening on {} ({} shard workers, {} MiB/shard)",
+        "kvd-server listening on {} ({} shards, {} MiB/shard)",
         handle.local_addr(),
         shards,
         memory_mb

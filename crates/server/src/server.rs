@@ -1,31 +1,33 @@
-//! The serving front-end: worker-per-core, shard-per-worker TCP server.
+//! The serving front-end: a run-to-completion TCP server over sharded
+//! stores.
 //!
 //! Layout (DESIGN.md §12):
 //!
-//! * one **acceptor** thread owns the listener;
-//! * `shards` **shard workers**, each exclusively owning one
-//!   [`KvDirectStore`] — shared-nothing, so the data plane never locks;
+//! * one **acceptor** thread owns the listener and blocks in `accept`;
+//! * `shards` stores, each behind its own lock; keys route to a shard
+//!   via [`kvd_net::shard_of`];
 //! * one thread per **connection**, which reassembles frames
-//!   incrementally ([`crate::proto::parse`]), routes each operation to
-//!   its shard via [`kvd_net::shard_of`], scatters per-shard jobs over
-//!   channels, gathers the replies and writes responses back in request
-//!   order.
+//!   incrementally ([`crate::proto::parse`]), stages each operation into
+//!   its shard's bundle, executes every bundle itself under that shard's
+//!   lock, and writes responses back in request order. No request ever
+//!   changes threads, and a connection holds at most one shard lock at a
+//!   time.
 //!
 //! Steady-state the hot path allocates nothing per request: keys and
-//! data are staged into per-shard arenas that travel to the worker and
-//! back, workers execute through the pooled
-//! [`KvDirectStore::execute_batch_refs_into`] entry point (retired value
-//! buffers recycle into the station pool), and response encoding appends
-//! into a reused write buffer.
+//! data are staged into pooled per-shard arenas, execution goes through
+//! the pooled [`KvDirectStore::execute_batch_refs_into`] entry point
+//! with a per-shard request buffer (retired value buffers recycle into
+//! the station pool), and response encoding appends into a reused write
+//! buffer.
 //!
 //! Stored values carry a 12-byte header — `flags: u32 LE | cas: u64 LE`
 //! — ahead of the client data, so GET can echo flags and `gets` a cas
 //! unique without a second index.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -54,7 +56,7 @@ pub const EXPTIME_RELATIVE_MAX: u32 = 30 * 24 * 60 * 60;
 /// Tick 0 of every shard store is the instant the server started; the
 /// clock reports `now` with one tick of headroom so a stamp minted
 /// "dead on arrival" (`expiry = now_tick`) is expired from the very
-/// first job a worker executes, even within the first millisecond of
+/// first bundle a shard executes, even within the first millisecond of
 /// uptime.
 #[derive(Debug, Clone, Copy)]
 struct ServerClock {
@@ -129,19 +131,19 @@ impl ClusterMembership {
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Shard (= worker thread) count; keys route via `shard_of`.
+    /// Shard (= store) count; keys route via `shard_of`.
     pub shards: usize,
     /// Per-shard store configuration.
     pub store: KvDirectConfig,
-    /// Max operations gathered from one connection's buffered frames
-    /// before a scatter/gather round trip.
+    /// Max operations a connection stages from its buffered frames
+    /// before executing them and writing the replies.
     pub max_batch: usize,
     /// Cluster membership; `None` (standalone) serves every key.
     pub cluster: Option<ClusterMembership>,
 }
 
 impl ServerConfig {
-    /// A loopback-test configuration: `shards` workers, 64 MiB per
+    /// A loopback-test configuration: `shards` stores, 64 MiB per
     /// shard, extended slabs on (memcache data blocks routinely exceed
     /// the paper's 512 B inline regime).
     pub fn loopback(shards: usize) -> Self {
@@ -162,7 +164,7 @@ impl ServerConfig {
     }
 }
 
-/// Operation verb as routed to a shard worker.
+/// Operation verb as staged for a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verb {
     Get,
@@ -196,13 +198,15 @@ struct Op {
     expiry: u32,
 }
 
-/// A pooled scatter unit: ops + their byte arena out, responses back.
-/// Bundles shuttle between a connection and one worker per round trip
-/// and return with `responses[i]` aligned to `ops[i]`; the next reuse
-/// hands `responses` back to `execute_batch_refs_into`, which recycles
-/// the retired value buffers.
+/// A pooled execution unit: one shard's ops and their byte arena in,
+/// responses out. A bundle executes with `responses[i]` aligned to
+/// `ops[i]`; the next reuse hands `responses` back to
+/// `execute_batch_refs_into`, which recycles the retired value buffers
+/// into the same shard's store, so buffers never drift between shards.
 #[derive(Debug, Default)]
 struct Bundle {
+    /// The shard this bundle always executes on.
+    shard: usize,
     ops: Vec<Op>,
     arena: Vec<u8>,
     responses: Vec<KvResponse>,
@@ -214,15 +218,22 @@ impl Bundle {
     }
 }
 
-struct Job {
-    bundle: Bundle,
-    reply: mpsc::Sender<Bundle>,
+/// One shard: its store plus the scratch its executions reuse. Whoever
+/// holds the lock is the shard's only executor.
+struct Shard {
+    store: KvDirectStore,
+    /// Scratch response reused across conditional probes (pooled).
+    probe: KvResponse,
+    /// Request-ref buffer reused across bundles; empty between uses.
+    refs: Vec<KvRequestRef<'static>>,
 }
 
-enum ShardMsg {
-    Job(Job),
-    /// Snapshot request: the worker sends its store's ledger back.
-    Ledger(mpsc::Sender<OpLedger>),
+/// Locks one shard. A lock poisoned by a panicking execution surfaces as
+/// a broken pipe on every connection that touches the shard afterwards.
+fn lock(shard: &Mutex<Shard>) -> io::Result<MutexGuard<'_, Shard>> {
+    shard
+        .lock()
+        .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard poisoned"))
 }
 
 /// Live protocol counters shared by all connections: one atomic per
@@ -256,9 +267,8 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     costs: Arc<SharedCosts>,
-    shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+    shards: Arc<[Mutex<Shard>]>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -284,12 +294,10 @@ impl ServerHandle {
     /// plane's [`ServerCosts`].
     pub fn ledger(&self) -> OpLedger {
         let mut out = OpLedger::default();
-        for tx in &self.shard_tx {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            if tx.send(ShardMsg::Ledger(reply_tx)).is_ok() {
-                if let Ok(l) = reply_rx.recv() {
-                    out.merge(&l);
-                }
+        for shard in self.shards.iter() {
+            // A poisoned shard has no trustworthy ledger; leave it out.
+            if let Ok(shard) = lock(shard) {
+                out.merge(&shard.store.ledger());
             }
         }
         let protocol = OpLedger {
@@ -301,10 +309,13 @@ impl ServerHandle {
     }
 
     /// Stops the server: drains connections, captures the final ledger,
-    /// joins every thread.
+    /// joins the acceptor.
     pub fn stop(mut self) -> OpLedger {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(a) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: one connection wakes it to
+            // see the flag. A failed connect means it has already exited.
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = a.join();
         }
         // Connections poll the flag on their read timeout; give them a
@@ -315,14 +326,7 @@ impl ServerHandle {
             }
             thread::sleep(Duration::from_millis(10));
         }
-        let ledger = self.ledger();
-        // Dropping the senders disconnects the worker channels, which is
-        // each worker's exit signal.
-        self.shard_tx.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        ledger
+        self.ledger()
     }
 }
 
@@ -332,68 +336,81 @@ impl CostSource for ServerHandle {
     }
 }
 
-/// Binds `addr` and starts serving.
+/// Where [`ServerHandle::stop`] connects to wake the acceptor: the bound
+/// address, with a wildcard IP replaced by loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Binds `addr` and starts serving. A configuration with no shards or a
+/// zero batch cap is refused with [`ErrorKind::InvalidInput`].
 pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerHandle> {
-    assert!(cfg.shards >= 1, "need at least one shard");
-    assert!(cfg.max_batch >= 1, "need a positive batch cap");
+    if cfg.shards == 0 || cfg.max_batch == 0 {
+        let msg = "shards and max_batch must be at least 1";
+        return Err(io::Error::new(ErrorKind::InvalidInput, msg));
+    }
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicUsize::new(0));
     let costs = Arc::new(SharedCosts::default());
     let cas = Arc::new(AtomicU64::new(0));
     let clock = ServerClock::start();
-
-    let mut shard_tx = Vec::with_capacity(cfg.shards);
-    let mut workers = Vec::with_capacity(cfg.shards);
-    for _ in 0..cfg.shards {
-        let (tx, rx) = mpsc::channel::<ShardMsg>();
-        shard_tx.push(tx);
-        let store = KvDirectStore::new(cfg.store.clone());
-        let cas = Arc::clone(&cas);
-        workers.push(thread::spawn(move || shard_worker(store, rx, cas, clock)));
-    }
+    let shards: Arc<[Mutex<Shard>]> = (0..cfg.shards)
+        .map(|_| {
+            Mutex::new(Shard {
+                store: KvDirectStore::new(cfg.store.clone()),
+                probe: KvResponse {
+                    status: Status::NotFound,
+                    value: Vec::new(),
+                },
+                refs: Vec::new(),
+            })
+        })
+        .collect();
 
     let acceptor = {
         let shutdown = Arc::clone(&shutdown);
         let active = Arc::clone(&active);
         let costs = Arc::clone(&costs);
-        let shard_tx = shard_tx.clone();
-        let cfg = cfg.clone();
+        let shards = Arc::clone(&shards);
         thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        active.fetch_add(1, Ordering::SeqCst);
-                        costs.fold(&ServerCosts {
-                            connections: 1,
-                            ..ServerCosts::default()
-                        });
-                        let shutdown = Arc::clone(&shutdown);
-                        let active = Arc::clone(&active);
-                        let costs = Arc::clone(&costs);
-                        let shard_tx = shard_tx.clone();
-                        let max_batch = cfg.max_batch;
-                        let cluster = cfg.cluster.clone();
-                        thread::spawn(move || {
-                            let _guard = ConnGuard {
-                                active,
-                                costs: Arc::clone(&costs),
-                            };
-                            let conn =
-                                Connection::new(stream, shard_tx, costs, max_batch, cluster, clock);
-                            if let Ok(mut conn) = conn {
-                                let _ = conn.run(&shutdown);
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                active.fetch_add(1, Ordering::SeqCst);
+                costs.fold(&ServerCosts {
+                    connections: 1,
+                    ..ServerCosts::default()
+                });
+                let shutdown = Arc::clone(&shutdown);
+                let guard = ConnGuard {
+                    active: Arc::clone(&active),
+                    costs: Arc::clone(&costs),
+                };
+                let conn = Connection::new(
+                    stream,
+                    Arc::clone(&shards),
+                    Arc::clone(&cas),
+                    Arc::clone(&costs),
+                    cfg.max_batch,
+                    cfg.cluster.clone(),
+                    clock,
+                );
+                thread::spawn(move || {
+                    let _guard = guard;
+                    if let Ok(mut conn) = conn {
+                        let _ = conn.run(&shutdown);
+                    }
+                });
             }
         })
     };
@@ -403,9 +420,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> io::Result<ServerH
         shutdown,
         active,
         costs,
-        shard_tx,
+        shards,
         acceptor: Some(acceptor),
-        workers,
     })
 }
 
@@ -426,49 +442,23 @@ impl Drop for ConnGuard {
 }
 
 // ---------------------------------------------------------------------
-// Shard worker
+// Execution
 // ---------------------------------------------------------------------
-
-fn shard_worker(
-    mut store: KvDirectStore,
-    rx: mpsc::Receiver<ShardMsg>,
-    cas: Arc<AtomicU64>,
-    clock: ServerClock,
-) {
-    // Scratch response reused across conditional probes (pooled).
-    let mut probe = KvResponse {
-        status: Status::NotFound,
-        value: Vec::new(),
-    };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Ledger(reply) => {
-                let _ = reply.send(store.ledger());
-            }
-            ShardMsg::Job(Job { mut bundle, reply }) => {
-                // Advance this shard's expiry clock to wall time before
-                // executing, so lazily-expired entries stop being
-                // served the moment their deadline passes.
-                store
-                    .processor_mut()
-                    .set_now(SimTime::from_us(clock.now_us()));
-                execute_bundle(&mut store, &mut bundle, &cas, &mut probe);
-                let _ = reply.send(bundle);
-            }
-        }
-    }
-}
 
 fn next_cas(cas: &AtomicU64) -> u64 {
     cas.fetch_add(1, Ordering::Relaxed) + 1
 }
 
-fn execute_bundle(
-    store: &mut KvDirectStore,
-    bundle: &mut Bundle,
-    cas: &AtomicU64,
-    probe: &mut KvResponse,
-) {
+/// Retypes an emptied request-ref buffer to a new borrow lifetime. An
+/// empty vector holds no borrow, and collecting it in place keeps its
+/// allocation.
+fn recycle<'b>(mut refs: Vec<KvRequestRef<'_>>) -> Vec<KvRequestRef<'b>> {
+    refs.clear();
+    refs.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
+    let store = &mut shard.store;
     // Connections seal ships-alone ops into their own single-op bundle.
     if bundle.ops.len() == 1 && bundle.ops[0].verb.ships_alone() {
         let op = bundle.ops[0];
@@ -478,7 +468,7 @@ fn execute_bundle(
             set_response(bundle, status);
             return;
         }
-        return execute_conditional(store, bundle, cas, probe);
+        return execute_conditional(store, bundle, cas, &mut shard.probe);
     }
     // Stamp cas uniques into the value headers, then run the whole
     // bundle through the pooled batch entry point. Destructured so the
@@ -488,6 +478,7 @@ fn execute_bundle(
         ops,
         arena,
         responses,
+        ..
     } = bundle;
     for op in ops.iter() {
         if op.verb == Verb::Set {
@@ -496,7 +487,7 @@ fn execute_bundle(
             arena[at..at + 8].copy_from_slice(&c.to_le_bytes());
         }
     }
-    let mut refs: Vec<KvRequestRef<'_>> = Vec::with_capacity(ops.len());
+    let mut refs = recycle(std::mem::take(&mut shard.refs));
     for op in ops.iter() {
         let key = &arena[op.key.0 as usize..op.key.1 as usize];
         refs.push(match op.verb {
@@ -509,10 +500,11 @@ fn execute_bundle(
         });
     }
     store.execute_batch_refs_into(&refs, responses);
+    shard.refs = recycle(refs);
 }
 
-/// `add`/`replace`: probe-then-store, atomic because this worker is the
-/// shard's only executor. The precondition failure is surfaced as
+/// `add`/`replace`: probe-then-store, atomic because the caller holds the
+/// shard's lock for both steps. The precondition failure is surfaced as
 /// `Status::NotFound` (the connection maps it to `NOT_STORED`).
 fn execute_conditional(
     store: &mut KvDirectStore,
@@ -620,7 +612,8 @@ enum PlanItem {
 
 struct Connection {
     stream: TcpStream,
-    shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+    shards: Arc<[Mutex<Shard>]>,
+    cas: Arc<AtomicU64>,
     costs: Arc<SharedCosts>,
     max_batch: usize,
 
@@ -632,11 +625,12 @@ struct Connection {
 
     /// Per-shard bundle being filled this chunk (`None` = empty).
     staging: Vec<Option<Bundle>>,
-    pool: Vec<Bundle>,
-    reply_tx: mpsc::Sender<Bundle>,
-    reply_rx: mpsc::Receiver<Bundle>,
+    /// Per-shard idle bundles.
+    pool: Vec<Vec<Bundle>>,
+    /// Bundles executed this chunk, in execution order.
+    done: Vec<Bundle>,
     plan: Vec<PlanItem>,
-    /// slot -> (received-bundle index, op index), filled at gather.
+    /// slot -> (done-bundle index, op index), filled before encoding.
     slots: Vec<(u32, u32)>,
     local: ServerCosts,
     cluster: Option<ClusterMembership>,
@@ -646,7 +640,8 @@ struct Connection {
 impl Connection {
     fn new(
         stream: TcpStream,
-        shard_tx: Vec<mpsc::Sender<ShardMsg>>,
+        shards: Arc<[Mutex<Shard>]>,
+        cas: Arc<AtomicU64>,
         costs: Arc<SharedCosts>,
         max_batch: usize,
         cluster: Option<ClusterMembership>,
@@ -654,21 +649,19 @@ impl Connection {
     ) -> io::Result<Connection> {
         stream.set_read_timeout(Some(Duration::from_millis(50)))?;
         stream.set_nodelay(true)?;
-        let shards = shard_tx.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
         Ok(Connection {
             stream,
-            shard_tx,
+            staging: (0..shards.len()).map(|_| None).collect(),
+            pool: (0..shards.len()).map(|_| Vec::new()).collect(),
+            shards,
+            cas,
             costs,
             max_batch,
             recv: Vec::with_capacity(16 << 10),
             start: 0,
             out: Vec::with_capacity(16 << 10),
             swallow: 0,
-            staging: (0..shards).map(|_| None).collect(),
-            pool: Vec::new(),
-            reply_tx,
-            reply_rx,
+            done: Vec::new(),
             plan: Vec::new(),
             slots: Vec::new(),
             local: ServerCosts::default(),
@@ -734,7 +727,7 @@ impl Connection {
     }
 
     /// Parses as many frames as are buffered (capped at `max_batch`
-    /// ops), scatters, gathers, encodes and writes. Returns `true` when
+    /// ops), executes them shard by shard, encodes and writes. Returns `true` when
     /// the connection should close.
     fn process_chunk(&mut self) -> io::Result<bool> {
         // The parsed commands borrow the receive buffer while staging
@@ -748,7 +741,6 @@ impl Connection {
 
     fn process_buffered(&mut self, recv: &[u8]) -> io::Result<bool> {
         let mut next_slot: u32 = 0;
-        let mut jobs_sent = 0usize;
         let mut closing = false;
 
         loop {
@@ -780,7 +772,7 @@ impl Connection {
                             let first_slot = next_slot;
                             let mut n_keys = 0u32;
                             for key in keys.iter() {
-                                jobs_sent += self.stage(Verb::Get, next_slot, key, 0, &[], 0)?;
+                                self.stage(Verb::Get, next_slot, key, 0, &[], 0)?;
                                 next_slot += 1;
                                 n_keys += 1;
                             }
@@ -813,7 +805,7 @@ impl Connection {
                                 continue;
                             }
                             let expiry = self.clock.expiry_tick(exptime);
-                            jobs_sent += self.stage(verb, next_slot, key, flags, data, expiry)?;
+                            self.stage(verb, next_slot, key, flags, data, expiry)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb,
@@ -836,7 +828,7 @@ impl Connection {
                                 continue;
                             }
                             let expiry = self.clock.expiry_tick(exptime);
-                            jobs_sent += self.stage(Verb::Touch, next_slot, key, 0, &[], expiry)?;
+                            self.stage(Verb::Touch, next_slot, key, 0, &[], expiry)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb: Verb::Touch,
@@ -854,7 +846,7 @@ impl Connection {
                                 self.start += consumed;
                                 continue;
                             }
-                            jobs_sent += self.stage(Verb::Delete, next_slot, key, 0, &[], 0)?;
+                            self.stage(Verb::Delete, next_slot, key, 0, &[], 0)?;
                             self.plan.push(PlanItem::Op {
                                 slot: next_slot,
                                 verb: Verb::Delete,
@@ -896,25 +888,14 @@ impl Connection {
             }
         }
 
-        // Seal whatever is still staged.
+        // Execute whatever is still staged.
         for shard in 0..self.staging.len() {
-            if self.staging[shard].is_some() {
-                jobs_sent += self.seal(shard)?;
-            }
+            self.seal(shard)?;
         }
 
-        // Gather.
-        let mut received: Vec<Bundle> = Vec::with_capacity(jobs_sent);
-        for _ in 0..jobs_sent {
-            let b = self
-                .reply_rx
-                .recv()
-                .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard worker gone"))?;
-            received.push(b);
-        }
         self.slots.clear();
         self.slots.resize(next_slot as usize, (u32::MAX, u32::MAX));
-        for (bi, b) in received.iter().enumerate() {
+        for (bi, b) in self.done.iter().enumerate() {
             for (oi, op) in b.ops.iter().enumerate() {
                 self.slots[op.slot as usize] = (bi as u32, oi as u32);
             }
@@ -937,7 +918,7 @@ impl Connection {
                     // with the first fault's taxonomy class.
                     let failed = (first_slot..first_slot + n_keys).find_map(|slot| {
                         let (bi, oi) = self.slots[slot as usize];
-                        let status = received[bi as usize].responses[oi as usize].status;
+                        let status = self.done[bi as usize].responses[oi as usize].status;
                         (!matches!(status, Status::Ok | Status::NotFound)).then_some(status)
                     });
                     if let Some(status) = failed {
@@ -947,7 +928,7 @@ impl Connection {
                     }
                     for slot in first_slot..first_slot + n_keys {
                         let (bi, oi) = self.slots[slot as usize];
-                        let b = &received[bi as usize];
+                        let b = &self.done[bi as usize];
                         let op = &b.ops[oi as usize];
                         let resp = &b.responses[oi as usize];
                         if resp.status == Status::Ok && resp.value.len() >= VALUE_HEADER_LEN {
@@ -974,7 +955,7 @@ impl Connection {
                     noreply,
                 } => {
                     let (bi, oi) = self.slots[slot as usize];
-                    let status = received[bi as usize].responses[oi as usize].status;
+                    let status = self.done[bi as usize].responses[oi as usize].status;
                     let line: &[u8] = match (verb, status) {
                         (Verb::Set | Verb::Add | Verb::Replace, Status::Ok) => b"STORED\r\n",
                         (Verb::Add | Verb::Replace, Status::NotFound) => b"NOT_STORED\r\n",
@@ -1001,12 +982,12 @@ impl Connection {
         self.plan.clear();
 
         // Return bundles (responses intact — their buffers recycle on
-        // the next execute) to the pool.
-        self.pool.extend(received.drain(..).map(|mut b| {
+        // the next execute) to their shard's pool.
+        for mut b in self.done.drain(..) {
             b.ops.clear();
             b.arena.clear();
-            b
-        }));
+            self.pool[b.shard].push(b);
+        }
 
         if !self.out.is_empty() {
             self.stream.write_all(&self.out)?;
@@ -1015,8 +996,8 @@ impl Connection {
         Ok(closing)
     }
 
-    /// Stages one op into its shard's bundle; returns how many jobs were
-    /// sent as a side effect (ships-alone ops force seals).
+    /// Stages one op into its shard's bundle. A ships-alone op executes
+    /// the shard's earlier staged ops first, then itself.
     fn stage(
         &mut self,
         verb: Verb,
@@ -1025,24 +1006,26 @@ impl Connection {
         flags: u32,
         data: &[u8],
         expiry: u32,
-    ) -> io::Result<usize> {
+    ) -> io::Result<()> {
         debug_assert!(key.len() <= MAX_KEY_LEN);
-        let shard = shard_of(key, self.shard_tx.len());
-        let mut sent = 0;
-        if verb.ships_alone() && self.staging[shard].is_some() {
-            sent += self.seal(shard)?;
+        let shard = shard_of(key, self.shards.len());
+        if verb.ships_alone() {
+            self.seal(shard)?;
         }
         let mut bundle = self.staging[shard]
             .take()
-            .or_else(|| self.pool.pop())
-            .unwrap_or_default();
+            .or_else(|| self.pool[shard].pop())
+            .unwrap_or_else(|| Bundle {
+                shard,
+                ..Bundle::default()
+            });
         let kstart = bundle.arena.len() as u32;
         bundle.arena.extend_from_slice(key);
         let kend = bundle.arena.len() as u32;
         let (vstart, vend) = if matches!(verb, Verb::Set | Verb::Add | Verb::Replace) {
             let vstart = bundle.arena.len() as u32;
             bundle.arena.extend_from_slice(&flags.to_le_bytes());
-            bundle.arena.extend_from_slice(&[0u8; 8]); // cas, stamped by the worker
+            bundle.arena.extend_from_slice(&[0u8; 8]); // cas, stamped at execution
             bundle.arena.extend_from_slice(data);
             (vstart, bundle.arena.len() as u32)
         } else {
@@ -1057,23 +1040,28 @@ impl Connection {
         });
         self.staging[shard] = Some(bundle);
         if verb.ships_alone() {
-            sent += self.seal(shard)?;
+            self.seal(shard)?;
         }
-        Ok(sent)
+        Ok(())
     }
 
-    /// Ships shard `shard`'s staged bundle to its worker.
-    fn seal(&mut self, shard: usize) -> io::Result<usize> {
-        let Some(bundle) = self.staging[shard].take() else {
-            return Ok(0);
+    /// Executes shard `shard`'s staged bundle, if any, under that shard's
+    /// lock, and queues it for encoding.
+    fn seal(&mut self, shard: usize) -> io::Result<()> {
+        let Some(mut bundle) = self.staging[shard].take() else {
+            return Ok(());
         };
-        self.shard_tx[shard]
-            .send(ShardMsg::Job(Job {
-                bundle,
-                reply: self.reply_tx.clone(),
-            }))
-            .map_err(|_| io::Error::new(ErrorKind::BrokenPipe, "shard worker gone"))?;
-        Ok(1)
+        let mut locked = lock(&self.shards[shard])?;
+        // Advance the shard's expiry clock to wall time before executing,
+        // so lazily-expired entries stop being served the moment their
+        // deadline passes. Reading the clock under the lock keeps each
+        // shard's clock monotonic.
+        let now = SimTime::from_us(self.clock.now_us());
+        locked.store.processor_mut().set_now(now);
+        execute_bundle(&mut locked, &mut bundle, &self.cas);
+        drop(locked);
+        self.done.push(bundle);
+        Ok(())
     }
 
     fn flush_costs(&mut self) {
@@ -1344,6 +1332,38 @@ mod tests {
         let got = roundtrip(&h, b"get j\r\n");
         assert_eq!(got, b"VALUE j 0 1\r\nb\r\nEND\r\n".to_vec());
         h.stop();
+    }
+
+    #[test]
+    fn reachable_bad_config_is_invalid_input() {
+        for cfg in [
+            ServerConfig::loopback(0),
+            ServerConfig {
+                max_batch: 0,
+                ..ServerConfig::loopback(1)
+            },
+        ] {
+            let err = serve("127.0.0.1:0", cfg).err().expect("refused");
+            assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        }
+    }
+
+    #[test]
+    fn stop_returns_without_any_connection() {
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(1)).expect("bind");
+        let ledger = h.stop();
+        assert_eq!(ledger.server.connections, 0);
+    }
+
+    #[test]
+    fn back_to_back_connections_are_accepted() {
+        let h = serve("127.0.0.1:0", ServerConfig::loopback(1)).expect("bind");
+        for _ in 0..50 {
+            assert_eq!(roundtrip(&h, b"version\r\n"), VERSION_REPLY.to_vec());
+        }
+        let ledger = h.stop();
+        assert_eq!(ledger.server.connections, 50);
+        assert_eq!(ledger.server.requests, 50);
     }
 
     #[test]
