@@ -15,8 +15,8 @@ use std::time::Instant;
 
 use kvd_bench::{banner, fmt_f, shape_check, Table, SCALED_MEMORY, SCALED_MEMORY_BIG};
 use kvd_core::parallel::{ParallelSimConfig, ParallelSystemSim};
-use kvd_core::{KvDirectConfig, MultiNicStore};
-use kvd_net::KvRequest;
+use kvd_core::KvDirectConfig;
+use kvd_net::{shard_of, KvRequest};
 use kvd_sim::{DetRng, SimTime};
 
 /// Corpus per NIC: the population scales with the shard count so every
@@ -194,13 +194,21 @@ fn main() {
     assert_eq!(seq, par, "worker count must not change simulated results");
 
     // Functional pass: a 10-shard store behaves like one store.
-    let mut s = MultiNicStore::new(KvDirectConfig::with_memory(SCALED_MEMORY), 10);
+    let mut s = ParallelSystemSim::new(ParallelSimConfig::paper(
+        KvDirectConfig::with_memory(SCALED_MEMORY),
+        BATCH,
+        10,
+    ));
     for i in 0..1000u64 {
-        s.put(&i.to_le_bytes(), &i.to_be_bytes()).expect("fits");
+        s.preload_put(&i.to_le_bytes(), &i.to_be_bytes())
+            .expect("fits");
     }
-    let all_ok = (0..1000u64).all(|i| s.get(&i.to_le_bytes()) == Some(i.to_be_bytes().to_vec()));
+    let all_ok = (0..1000u64).all(|i| {
+        let k = i.to_le_bytes();
+        s.shard_store_mut(shard_of(&k, 10)).get(&k) == Some(i.to_be_bytes().to_vec())
+    });
     let loads: Vec<u64> = (0..10)
-        .map(|i| s.nic(i).processor().table().len())
+        .map(|i| s.shard_store_mut(i).processor().table().len())
         .collect();
     println!("shard loads: {loads:?}\n");
 

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kvd_core::{KvDirectConfig, KvDirectStore};
 use kvd_hash::{HashTable, HashTableConfig};
 use kvd_mem::{DispatchConfig, DispatchedMemory, FlatMemory, MemoryEngine, NicDramConfig};
-use kvd_net::{decode_packet, encode_packet, KvRequest, KvRequestRef};
+use kvd_net::{decode_packet, encode_packet, KvRequest, KvRequestRef, KvResponse, Status};
 use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp};
 use kvd_sim::{DetRng, ZipfSampler};
 use kvd_slab::{SlabAllocator, SlabConfig};
@@ -177,12 +177,16 @@ fn bench_hot_path_alloc(c: &mut Criterion) {
             black_box(store.execute_batch(&reqs))
         })
     });
+    let mut resp = KvResponse {
+        status: Status::Ok,
+        value: Vec::new(),
+    };
     g.bench_function("batch_40_borrowed", |b| {
         b.iter(|| {
             let mut hits = 0u32;
             for _ in 0..40 {
                 let k = rng.u64_below(20_000).to_le_bytes();
-                let resp = store.execute_one(KvRequestRef::get(&k));
+                store.execute_one_into(KvRequestRef::get(&k), &mut resp);
                 hits += u32::from(!resp.value.is_empty());
             }
             black_box(hits)
@@ -210,10 +214,15 @@ fn bench_ledger_detail(c: &mut Criterion) {
             store.put(&i.to_le_bytes(), &i.to_be_bytes()).expect("fits");
         }
         let mut rng = DetRng::seed(31);
+        let mut resp = KvResponse {
+            status: Status::Ok,
+            value: Vec::new(),
+        };
         g.bench_function(label, |b| {
             b.iter(|| {
                 let k = rng.u64_below(20_000).to_le_bytes();
-                black_box(store.execute_one(KvRequestRef::get(&k)))
+                store.execute_one_into(KvRequestRef::get(&k), &mut resp);
+                black_box(resp.status)
             })
         });
     }

@@ -180,7 +180,7 @@ fn allocs_per_get() -> f64 {
 /// offered rate well above loopback capacity, so answered RPS measures
 /// the server, not the schedule. Requests cross a real TCP stack and run
 /// to completion on their connection thread, through the pooled
-/// `execute_batch_refs_into` path under each shard's lock.
+/// `execute_into` path under each shard's lock.
 fn server_rps() -> (f64, f64) {
     let shards = std::thread::available_parallelism()
         .map(|p| p.get().min(4))

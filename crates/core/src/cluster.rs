@@ -834,7 +834,7 @@ impl ClusterSim {
         if workers == 1 {
             for node in self.nodes.iter_mut() {
                 if node.alive {
-                    node.sim.step_window(horizon, floor);
+                    node.sim.step(horizon, floor);
                 }
             }
         } else {
@@ -844,7 +844,7 @@ impl ClusterSim {
                     s.spawn(move |_| {
                         for node in nodes.iter_mut() {
                             if node.alive {
-                                node.sim.step_window(horizon, floor);
+                                node.sim.step(horizon, floor);
                             }
                         }
                     });

@@ -13,15 +13,18 @@
 //!   `reduce` and `filter` (Table 1). In the paper these are compiled to
 //!   hardware by an HLS toolchain before use; here they are Rust closures
 //!   registered before use — the same contract.
-//! * [`processor`] — the KV processor: executes request batches with the
-//!   station in the loop.
-//! * [`store`] — [`KvDirectStore`], the embedder-facing API, plus
-//!   [`MultiNicStore`] for the paper's multi-NIC scaling (10 NICs →
-//!   1.22 Gops).
+//! * [`processor`] — the KV processor: one borrowed batch body, with the
+//!   station in the loop, behind its two entry points (a packet,
+//!   `execute_into`; a single op, `execute_one_into`).
+//! * [`store`] — [`KvDirectStore`], the embedder-facing API over one
+//!   simulated NIC.
 //! * [`overload`] — the overload-control plane: watermark admission with
 //!   hysteresis, deadline expiry and read-only degradation.
-//! * [`parallel`] — the multi-NIC server *simulated*: one timed pipeline
-//!   per shard on OS worker threads, synchronized through a host-memory
+//! * [`system`] — the timed end-to-end simulator of one NIC
+//!   ([`SystemSim`]).
+//! * [`parallel`] — the paper's multi-NIC scaling (10 NICs → 1.22 Gops)
+//!   *simulated*: client-side key sharding onto one timed pipeline per
+//!   shard, on OS worker threads, synchronized through a host-memory
 //!   arbiter so the Figure 18 saturation knee emerges from contention.
 //! * [`cluster`] — the multi-node plane: M member hosts in window
 //!   lockstep, chain replication over consistent hashing, heartbeat
@@ -44,8 +47,6 @@ pub use lambda::{builtin, Lambda, LambdaRegistry};
 pub use overload::{AdmissionController, HotKeyConfig, OverloadConfig, Watermarks};
 pub use parallel::{ParallelSimConfig, ParallelSimReport, ParallelSystemSim};
 pub use processor::{KvProcessor, ProcessorStats};
-pub use store::{KvDirectConfig, KvDirectStore, MultiNicStore, StoreError};
-pub use system::{
-    Percentile, RunSummary, StepOutcome, SystemSim, SystemSimConfig, SystemSimReport, WindowStep,
-};
+pub use store::{KvDirectConfig, KvDirectStore, StoreError};
+pub use system::{Percentile, RunSummary, SystemSim, SystemSimConfig, SystemSimReport, WindowStep};
 pub use timing::{SystemModel, ThroughputBreakdown, WorkloadSpec};

@@ -7,8 +7,8 @@
 //! module reproduces that experiment structurally: one full timed
 //! pipeline ([`SystemSim`]: client ↔ 40 GbE ↔ KV processor ↔ PCIe/DRAM)
 //! per shard, key-partitioned request routing via [`kvd_net::shard_of`],
-//! and a conservative time-quantum [`HostArbiter`] standing in for the
-//! shared host memory.
+//! and a conservative time-quantum [`kvd_sim::HostArbiter`] standing in
+//! for the shared host memory.
 //!
 //! # Synchronization scheme
 //!
@@ -247,57 +247,52 @@ impl ParallelSystemSim {
     /// allocations from the allocation-free drive (and time them
     /// independently).
     pub fn stage(&mut self, reqs: &[KvRequest]) {
-        // Client-side routing: each key's shard is a pure hash, so the
-        // partition is independent of worker count and request order
-        // within a shard is preserved. The routed buffers are handed to
-        // the shards whole — one clone per request, not two.
-        let n = self.sims.len();
-        let mut routed: Vec<Vec<KvRequest>> = vec![Vec::new(); n];
-        for r in reqs {
-            routed[shard_of(&r.key, n)].push(r.clone());
-        }
+        let routed = self.route(reqs, |r| &r.key);
         for (sim, shard_reqs) in self.sims.iter_mut().zip(routed) {
             sim.load_owned(shard_reqs);
         }
-    }
-
-    /// Drives the staged streams to completion (see [`Self::stage`]).
-    /// Steady-state allocation-free with one worker; multi-worker runs
-    /// allocate only the scoped worker threads.
-    pub fn drive_staged(&mut self) {
-        self.drive();
     }
 
     /// Open-loop variant of [`Self::run`]: each request carries its
     /// client issue time (non-decreasing). Routing preserves per-shard
     /// arrival order, so every shard sees a sorted sub-schedule.
     pub fn run_open(&mut self, reqs: &[(SimTime, KvRequest)]) -> ParallelSimReport {
-        let n = self.sims.len();
-        let mut routed: Vec<Vec<KvRequest>> = vec![Vec::new(); n];
-        let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-        for (t, r) in reqs {
-            let s = shard_of(&r.key, n);
-            routed[s].push(r.clone());
-            arrivals[s].push(*t);
+        let routed = self.route(reqs, |(_, r)| &r.key);
+        for (sim, shard) in self.sims.iter_mut().zip(routed) {
+            let (arrivals, shard_reqs) = shard.into_iter().unzip();
+            sim.load_open_owned(shard_reqs, arrivals);
         }
-        for ((sim, shard_reqs), shard_arrivals) in self.sims.iter_mut().zip(routed).zip(arrivals) {
-            sim.load_open_owned(shard_reqs, shard_arrivals);
-        }
-        self.drive();
+        self.drive_staged();
         self.merged_report()
     }
 
-    /// Drives every shard's staged stream to completion through the
-    /// asynchronous credit arbiter: persistent workers draw `(window,
-    /// floor, horizon, stall)` credit per shard, publish the three
-    /// scalars each window produced, and the arbiter settles windows as
-    /// they close (by real publications or by null messages for idle
-    /// shards). The settled stall feeds back into each shard as
-    /// backpressure (`stall / quantum` host stretch) exactly when the
-    /// shard next executes — the only time the gauge is read — so the
-    /// per-shard `(absorb, advance)` sequence is bit-identical to the
-    /// lockstep barrier's.
-    fn drive(&mut self) {
+    /// Client-side routing behind both loaders: each key's shard is a
+    /// pure hash, so the partition is independent of worker count and
+    /// order within a shard is preserved. Each item is cloned once, into
+    /// the per-shard buffer the shard then takes whole.
+    fn route<T: Clone>(&self, items: &[T], key: impl Fn(&T) -> &[u8]) -> Vec<Vec<T>> {
+        let n = self.sims.len();
+        let mut routed = vec![Vec::new(); n];
+        for item in items {
+            routed[shard_of(key(item), n)].push(item.clone());
+        }
+        routed
+    }
+
+    /// Drives every shard's staged stream to completion (see
+    /// [`Self::stage`]) through the asynchronous credit arbiter:
+    /// persistent workers draw `(window, floor, horizon, stall)` credit
+    /// per shard, publish the three scalars each window produced, and the
+    /// arbiter settles windows as they close (by real publications or by
+    /// null messages for idle shards). The settled stall feeds back into
+    /// each shard as backpressure (`stall / quantum` host stretch)
+    /// exactly when the shard next executes — the only time the gauge is
+    /// read — so the per-shard `(absorb, advance)` sequence is
+    /// bit-identical to the lockstep barrier's.
+    ///
+    /// Steady-state allocation-free with one worker; multi-worker runs
+    /// allocate only the scoped worker threads.
+    pub fn drive_staged(&mut self) {
         let quantum = self.credit.quantum();
         let lookahead = u64::from(self.credit.lookahead().max(1));
         self.credit.begin();
@@ -367,7 +362,7 @@ impl ParallelSystemSim {
                             if window > 0 {
                                 sim.absorb_host_stall(stall, quantum);
                             }
-                            let w = sim.step_window(horizon, floor);
+                            let w = sim.step(horizon, floor);
                             credit.publish(shard, w.host_lines, w.next_event, w.done);
                             progressed = true;
                             if w.done {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use kvd_hash::{HashError, HashTable, HashTableConfig};
 use kvd_mem::MemoryEngine;
-use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
+use kvd_net::{KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::{Admission, KvOpKind, ReservationStation, StationConfig, StationOp, Writeback};
 use kvd_sim::{CostSource, FaultPlane, OpLedger, SimTime};
 
@@ -119,13 +119,14 @@ struct RespCtx {
 /// use kvd_core::KvProcessor;
 /// use kvd_hash::HashTableConfig;
 /// use kvd_mem::FlatMemory;
-/// use kvd_net::{KvRequest, Status};
+/// use kvd_net::{KvRequestRef, Status};
 ///
 /// let mut p = KvProcessor::with_flat_memory(1 << 20, 0.5, 24);
-/// let rs = p.execute_batch(&[
-///     KvRequest::put(b"k", b"v"),
-///     KvRequest::get(b"k"),
-/// ]);
+/// let mut rs = Vec::new();
+/// p.execute_into(
+///     &[KvRequestRef::put(b"k", b"v"), KvRequestRef::get(b"k")],
+///     &mut rs,
+/// );
 /// assert_eq!(rs[0].status, Status::Ok);
 /// assert_eq!(rs[1].value, b"v");
 /// ```
@@ -357,91 +358,55 @@ impl<M: MemoryEngine> KvProcessor<M> {
         self.station.stats()
     }
 
-    /// Executes a batch of requests, returning responses in order.
+    /// Executes a batch of borrowed requests — one client packet — into
+    /// a caller-owned response vector, in request order.
     ///
     /// All effects are applied to the table by return time (dirty
-    /// forwarding caches are flushed). Callers whose requests already
-    /// live in their own buffers should prefer
-    /// [`execute_batch_refs`](Self::execute_batch_refs), which skips the
-    /// owned-request construction entirely.
-    pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, req.as_ref());
-        }
-        self.finish_batch()
-    }
-
-    /// Executes a batch of borrowed requests — the hot path.
-    ///
-    /// Identical semantics to [`execute_batch`](Self::execute_batch); the
-    /// only per-operation allocations left are the ones the reservation
-    /// station needs to own its key and (for PUT) its value.
-    pub fn execute_batch_refs(&mut self, reqs: &[KvRequestRef<'_>]) -> Vec<KvResponse> {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, *req);
-        }
-        self.finish_batch()
-    }
-
-    /// Executes a batch of borrowed requests into a caller-owned response
-    /// vector. `out` is cleared first; its old response value buffers are
-    /// retired into the station's pool, so a caller that loops with one
-    /// `Vec` reuses every buffer instead of reallocating.
-    pub fn execute_batch_refs_into(
-        &mut self,
-        reqs: &[KvRequestRef<'_>],
-        out: &mut Vec<KvResponse>,
-    ) {
-        self.begin_batch(reqs.len());
-        for (i, req) in reqs.iter().enumerate() {
-            self.admit_request(i, *req);
-        }
-        self.drain_and_flush();
+    /// forwarding caches are flushed). `out` is cleared first; its old
+    /// response value buffers are retired into the station's pool, so a
+    /// caller that loops with one `Vec` reuses every buffer instead of
+    /// reallocating.
+    pub fn execute_into(&mut self, reqs: &[KvRequestRef<'_>], out: &mut Vec<KvResponse>) {
+        self.run_batch(reqs);
         for r in out.drain(..) {
             self.station.give(r.value);
         }
-        out.extend(
-            self.responses
-                .drain(..)
-                .map(|r| r.expect("every request produces a response")),
-        );
+        out.extend(self.responses.drain(..).map(Self::answered));
     }
 
-    /// Executes one borrowed request (the embedder API's point ops).
-    pub fn execute_one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        let mut resp = KvResponse {
-            status: Status::Ok,
-            value: Vec::new(),
-        };
-        self.execute_one_into(req, &mut resp);
-        resp
-    }
-
-    /// Executes one borrowed request into a caller-owned response. The
-    /// response's previous value buffer is retired into the station's
-    /// pool, so a caller that loops with one `KvResponse` runs the
-    /// steady-state GET path without a single heap allocation.
+    /// Executes one borrowed request (a batch of one) into a caller-owned
+    /// response. The response's previous value buffer is retired into
+    /// the station's pool, so a caller that loops with one `KvResponse`
+    /// runs the steady-state GET path without a single heap allocation.
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {
-        self.begin_batch(1);
-        self.admit_request(0, req);
-        self.drain_and_flush();
-        let r = self.responses[0]
-            .take()
-            .expect("one request yields one response");
-        let old = std::mem::replace(resp, r);
+        self.run_batch(std::slice::from_ref(&req));
+        let old = std::mem::replace(resp, Self::answered(self.responses[0].take()));
         self.station.give(old.value);
     }
 
-    fn begin_batch(&mut self, n: usize) {
+    /// The one batch body behind both entry points: admits every request
+    /// in order, then drains the pipeline and flushes dirty caches.
+    fn run_batch(&mut self, reqs: &[KvRequestRef<'_>]) {
         self.responses.clear();
-        self.responses.resize(n, None);
+        self.responses.resize(reqs.len(), None);
         self.ctxs.clear();
-        self.ctxs.reserve(n);
+        self.ctxs.reserve(reqs.len());
         if !self.pending_ttl.is_empty() {
             self.pending_ttl.clear();
         }
+        for (i, req) in reqs.iter().enumerate() {
+            self.admit_request(i, *req);
+        }
+        self.drain_and_flush();
+    }
+
+    /// A response slot after [`Self::run_batch`].
+    fn answered(slot: Option<KvResponse>) -> KvResponse {
+        // Invariant: `admit_request` answers a shed or invalid request on
+        // the spot and submits every other one to the station, whose ops
+        // all retire through `finish` once `drain_and_flush` has emptied
+        // the pipeline — so every slot of the batch is filled.
+        slot.expect("every request produces a response")
     }
 
     fn admit_request(&mut self, i: usize, req: KvRequestRef<'_>) {
@@ -537,14 +502,6 @@ impl<M: MemoryEngine> KvProcessor<M> {
         }
         self.ledger.core.admitted += 1;
         None
-    }
-
-    fn finish_batch(&mut self) -> Vec<KvResponse> {
-        self.drain_and_flush();
-        self.responses
-            .drain(..)
-            .map(|r| r.expect("every request produces a response"))
-            .collect()
     }
 
     /// Drains the pipeline and flushes dirty caches; applied write-back
@@ -916,6 +873,9 @@ impl<M: MemoryEngine> KvProcessor<M> {
         if let Some(v) = value {
             self.station.give(v);
         }
+        // Invariant: the station retires each op id exactly once (the
+        // fast path, an issue, or a chain-forward), and shed/invalid
+        // requests never reach it.
         debug_assert!(
             self.responses[id as usize].is_none(),
             "response {id} produced twice"
@@ -992,6 +952,9 @@ fn build_response(
         },
         OpCode::Reduce => match value.as_deref() {
             Some(v) => {
+                // Invariant: `build_station_op` rejected this request as
+                // `Invalid` unless λ was a registered reduce, and the
+                // registry cannot change while a batch runs (`&mut self`).
                 let f = match registry.get(ctx.lambda) {
                     Some(Lambda::Reduce(f)) => f,
                     _ => unreachable!("validated at submission"),
@@ -1010,6 +973,8 @@ fn build_response(
         },
         OpCode::Filter => match value.as_deref() {
             Some(v) => {
+                // Invariant: as for REDUCE — validated as a registered
+                // filter by `build_station_op`.
                 let f = match registry.get(ctx.lambda) {
                     Some(Lambda::Filter(f)) => f,
                     _ => unreachable!("validated at submission"),
@@ -1031,6 +996,7 @@ fn build_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvd_net::KvRequest;
     use kvd_sim::{DetRng, ZipfSampler};
     use std::collections::BTreeMap;
 
@@ -1038,10 +1004,20 @@ mod tests {
         KvProcessor::with_flat_memory(1 << 20, 0.5, 24)
     }
 
+    impl<M: MemoryEngine> KvProcessor<M> {
+        /// Runs an owned batch through the borrowed entry point.
+        fn exec(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
+            let refs: Vec<KvRequestRef<'_>> = reqs.iter().map(KvRequest::as_ref).collect();
+            let mut out = Vec::new();
+            self.execute_into(&refs, &mut out);
+            out
+        }
+    }
+
     #[test]
     fn batch_roundtrip() {
         let mut p = proc();
-        let rs = p.execute_batch(&[
+        let rs = p.exec(&[
             KvRequest::put(b"a", b"1"),
             KvRequest::put(b"b", b"2"),
             KvRequest::get(b"a"),
@@ -1062,10 +1038,10 @@ mod tests {
         // A hot key read repeatedly: after the first access, reads come
         // from the station cache without touching memory.
         let mut p = proc();
-        p.execute_batch(&[KvRequest::put(b"hot", b"v")]);
+        p.exec(&[KvRequest::put(b"hot", b"v")]);
         p.table_mut().mem_mut().reset_stats();
         let reqs: Vec<KvRequest> = (0..100).map(|_| KvRequest::get(b"hot")).collect();
-        let rs = p.execute_batch(&reqs);
+        let rs = p.exec(&reqs);
         assert!(rs.iter().all(|r| r.value == b"v"));
         let accesses = p.table().mem().stats().accesses();
         assert!(
@@ -1088,7 +1064,7 @@ mod tests {
                 expiry_tick: 0,
             })
             .collect();
-        let rs = p.execute_batch(&reqs);
+        let rs = p.exec(&reqs);
         // Original-value semantics: op i observes i.
         for (i, r) in rs.iter().enumerate() {
             assert_eq!(decode_scalar(Some(&r.value)), i as u64);
@@ -1146,7 +1122,7 @@ mod tests {
                     }
                 }
             }
-            let rs = p.execute_batch(&reqs);
+            let rs = p.exec(&reqs);
             for (i, (r, e)) in rs.iter().zip(&expected).enumerate() {
                 match &reqs[i].op {
                     OpCode::Get => {
@@ -1180,7 +1156,7 @@ mod tests {
         let reqs: Vec<KvRequest> = (0..500u32)
             .map(|i| KvRequest::put(&i.to_le_bytes(), &[9u8; 100]))
             .collect();
-        let rs = p.execute_batch(&reqs);
+        let rs = p.exec(&reqs);
         let ok = rs.iter().filter(|r| r.status == Status::Ok).count();
         let oom = rs
             .iter()
@@ -1207,7 +1183,7 @@ mod tests {
     fn mixed_vector_and_scalar_batch() {
         let mut p = proc();
         let vec_bytes = crate::lambda::encode_vector(&[1, 2, 3]);
-        let rs = p.execute_batch(&[
+        let rs = p.exec(&[
             KvRequest::put(b"v", &vec_bytes),
             KvRequest {
                 op: OpCode::Reduce,
@@ -1242,18 +1218,18 @@ mod tests {
     #[test]
     fn ttl_put_expires_lazily_and_reclaims() {
         let mut p = proc();
-        let rs = p.execute_batch(&[
+        let rs = p.exec(&[
             KvRequest::put(b"mortal", b"v").with_ttl(5),
             KvRequest::put(b"immortal", b"w"),
         ]);
         assert!(rs.iter().all(|r| r.status == Status::Ok));
         // Live before the stamp's tick.
         p.set_now(SimTime::from_us(4_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"mortal")]);
+        let rs = p.exec(&[KvRequest::get(b"mortal")]);
         assert_eq!(rs[0].value, b"v");
         // Dead at the stamp's tick: the GET is a miss and the slot frees.
         p.set_now(SimTime::from_us(5_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"mortal"), KvRequest::get(b"immortal")]);
+        let rs = p.exec(&[KvRequest::get(b"mortal"), KvRequest::get(b"immortal")]);
         assert_eq!(rs[0].status, Status::NotFound);
         assert_eq!(rs[1].value, b"w");
         assert_eq!(p.table().len(), 1, "dead entry reclaimed on the miss");
@@ -1267,13 +1243,13 @@ mod tests {
         let mut p = proc();
         p.set_now(SimTime::from_us(10_000));
         // Stamp already in the past: memcache `set` with a past exptime.
-        let rs = p.execute_batch(&[KvRequest::put(b"k", b"v").with_ttl(3), KvRequest::get(b"k")]);
+        let rs = p.exec(&[KvRequest::put(b"k", b"v").with_ttl(3), KvRequest::get(b"k")]);
         assert_eq!(rs[0].status, Status::Ok, "the store is acknowledged");
         assert_eq!(rs[1].status, Status::NotFound, "but observably absent");
         assert_eq!(p.table().len(), 0);
         // Same when the put lands on an existing live entry.
-        p.execute_batch(&[KvRequest::put(b"k", b"live")]);
-        let rs = p.execute_batch(&[
+        p.exec(&[KvRequest::put(b"k", b"live")]);
+        let rs = p.exec(&[
             KvRequest::put(b"k", b"dead").with_ttl(3),
             KvRequest::get(b"k"),
         ]);
@@ -1285,10 +1261,10 @@ mod tests {
     fn clock_advance_drops_forwarding_caches_only_for_ttl_workloads() {
         // Stampless run: caches survive clock advances bit-identically.
         let mut p = proc();
-        p.execute_batch(&[KvRequest::put(b"hot", b"v")]);
+        p.exec(&[KvRequest::put(b"hot", b"v")]);
         p.set_now(SimTime::from_us(50_000));
         p.table_mut().mem_mut().reset_stats();
-        let rs = p.execute_batch(&[KvRequest::get(b"hot")]);
+        let rs = p.exec(&[KvRequest::get(b"hot")]);
         assert_eq!(rs[0].value, b"v");
         assert!(
             p.table().mem().stats().accesses() == 0,
@@ -1298,9 +1274,9 @@ mod tests {
         // TTL'd run: the same advance invalidates the cache, and the
         // re-issued GET observes the table's (expired) truth.
         let mut p = proc();
-        p.execute_batch(&[KvRequest::put(b"hot", b"v").with_ttl(5)]);
+        p.exec(&[KvRequest::put(b"hot", b"v").with_ttl(5)]);
         p.set_now(SimTime::from_us(5_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"hot")]);
+        let rs = p.exec(&[KvRequest::get(b"hot")]);
         assert_eq!(
             rs[0].status,
             Status::NotFound,
@@ -1314,31 +1290,31 @@ mod tests {
         // first and merges in the station; the flush write-back must
         // carry the *second* put's stamp.
         let mut p = proc();
-        let rs = p.execute_batch(&[
+        let rs = p.exec(&[
             KvRequest::put(b"k", b"v1").with_ttl(100),
             KvRequest::put(b"k", b"v2").with_ttl(5),
         ]);
         assert!(rs.iter().all(|r| r.status == Status::Ok));
         p.set_now(SimTime::from_us(5_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"k")]);
+        let rs = p.exec(&[KvRequest::get(b"k")]);
         assert_eq!(rs[0].status, Status::NotFound, "merged put's TTL honored");
 
         // And a stampless overwrite resets the lifecycle to immortal.
         let mut p = proc();
-        p.execute_batch(&[
+        p.exec(&[
             KvRequest::put(b"k", b"v1").with_ttl(5),
             KvRequest::put(b"k", b"v2"),
         ]);
         p.set_now(SimTime::from_us(60_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"k")]);
+        let rs = p.exec(&[KvRequest::get(b"k")]);
         assert_eq!(rs[0].value, b"v2", "unstamped overwrite is immortal");
     }
 
     #[test]
     fn updates_reset_the_lifecycle() {
         let mut p = proc();
-        p.execute_batch(&[KvRequest::put(b"ctr", &0u64.to_le_bytes()).with_ttl(5)]);
-        let rs = p.execute_batch(&[KvRequest {
+        p.exec(&[KvRequest::put(b"ctr", &0u64.to_le_bytes()).with_ttl(5)]);
+        let rs = p.exec(&[KvRequest {
             op: OpCode::UpdateScalar,
             key: b"ctr".to_vec(),
             value: 7u64.to_le_bytes().to_vec(),
@@ -1349,22 +1325,22 @@ mod tests {
         assert_eq!(rs[0].status, Status::Ok);
         // The update rewrote the entry unstamped: it outlives tick 5.
         p.set_now(SimTime::from_us(9_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"ctr")]);
+        let rs = p.exec(&[KvRequest::get(b"ctr")]);
         assert_eq!(decode_scalar(Some(&rs[0].value)), 7);
     }
 
     #[test]
     fn touch_extends_and_kills() {
         let mut p = proc();
-        p.execute_batch(&[KvRequest::put(b"k", b"v").with_ttl(5)]);
+        p.exec(&[KvRequest::put(b"k", b"v").with_ttl(5)]);
         assert!(p.touch(b"k", 100), "live key touched");
         p.set_now(SimTime::from_us(50_000));
-        let rs = p.execute_batch(&[KvRequest::get(b"k")]);
+        let rs = p.exec(&[KvRequest::get(b"k")]);
         assert_eq!(rs[0].value, b"v", "touch extended the lifetime");
         // Touch into the past: dead immediately, cache dropped.
         p.set_now(SimTime::from_us(60_000));
         assert!(p.touch(b"k", 55));
-        let rs = p.execute_batch(&[KvRequest::get(b"k")]);
+        let rs = p.exec(&[KvRequest::get(b"k")]);
         assert_eq!(rs[0].status, Status::NotFound);
         // Touching a missing key reports absence.
         assert!(!p.touch(b"nope", 10));
@@ -1377,7 +1353,7 @@ mod tests {
         let reqs: Vec<KvRequest> = (0..200u32)
             .map(|i| KvRequest::put(&i.to_le_bytes(), b"payload").with_ttl(1 + (i % 3)))
             .collect();
-        p.execute_batch(&reqs);
+        p.exec(&reqs);
         assert_eq!(p.table().len(), 200);
         p.set_now(SimTime::from_us(10_000)); // everything is dead now
         let buckets = p.table().n_buckets();
@@ -1408,7 +1384,7 @@ mod tests {
             },
             5,
         ));
-        let rs = p.execute_batch(&[
+        let rs = p.exec(&[
             KvRequest::put(b"k", b"v1"),
             KvRequest::put(b"k", b"v2"),
             KvRequest::get(b"k"),
@@ -1429,7 +1405,7 @@ mod tests {
         let reqs: Vec<KvRequest> = (0..500u32)
             .map(|i| KvRequest::put(&i.to_le_bytes(), &i.to_le_bytes()))
             .collect();
-        let rs = p.execute_batch(&reqs);
+        let rs = p.exec(&reqs);
         let mut oks = 0;
         let mut errs = 0;
         for (i, r) in rs.iter().enumerate() {

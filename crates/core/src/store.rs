@@ -1,14 +1,17 @@
 //! The embedder-facing KV-Direct store.
 //!
 //! [`KvDirectStore`] wraps one simulated NIC (KV processor + dispatched
-//! memory stack) behind the operations of Table 1. [`MultiNicStore`]
-//! shards keys across several NICs, reproducing the paper's multi-NIC
-//! deployment where "10 programmable NIC cards in a commodity server"
-//! reach 1.22 billion KV operations per second.
+//! memory stack) behind the operations of Table 1. Every operation, a
+//! point op or a client-batched packet, runs through the processor's one
+//! borrowed batch body ([`KvDirectStore::execute_into`] and
+//! [`KvDirectStore::execute_one_into`]). The paper's multi-NIC
+//! deployment ("10 programmable NIC cards in a commodity server") is
+//! client-side key sharding over several such stores, which
+//! [`crate::parallel::ParallelSystemSim`] simulates.
 
 use kvd_hash::{HashTable, HashTableConfig};
 use kvd_mem::{AdaptiveCacheConfig, DispatchConfig, DispatchedMemory, NicDramConfig};
-use kvd_net::{shard_of, KvRequest, KvRequestRef, KvResponse, OpCode, Status};
+use kvd_net::{KvRequest, KvRequestRef, KvResponse, OpCode, Status};
 use kvd_ooo::StationConfig;
 use kvd_sim::{Bandwidth, CostSource, FaultCounters, FaultPlane, FaultRates, OpLedger};
 
@@ -202,9 +205,9 @@ impl Default for KvDirectConfig {
 /// ```
 pub struct KvDirectStore {
     proc: KvProcessor<DispatchedMemory>,
-    /// Reused response for the point-op convenience API (`get_into`,
-    /// `execute_one`-style wrappers); its value buffer circulates through
-    /// the processor's pool instead of being reallocated per call.
+    /// Reused response for [`Self::get_into`]; its value buffer
+    /// circulates through the processor's pool instead of being
+    /// reallocated per call.
     scratch: KvResponse,
 }
 
@@ -295,7 +298,12 @@ impl KvDirectStore {
     }
 
     fn one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        self.proc.execute_one(req)
+        let mut resp = KvResponse {
+            status: Status::Ok,
+            value: Vec::new(),
+        };
+        self.proc.execute_one_into(req, &mut resp);
+        resp
     }
 
     /// `get(k) → v`.
@@ -485,32 +493,11 @@ impl KvDirectStore {
         self.proc.registry_mut().register(id, lambda);
     }
 
-    /// Executes a client-batched request packet — the network fast path.
-    pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        self.proc.execute_batch(reqs)
-    }
-
-    /// Executes a batch of borrowed requests straight off a decoded wire
-    /// packet (see [`KvProcessor::execute_batch_refs`]).
-    pub fn execute_batch_refs(&mut self, reqs: &[KvRequestRef<'_>]) -> Vec<KvResponse> {
-        self.proc.execute_batch_refs(reqs)
-    }
-
-    /// Batch execution into a caller-owned response vector; retired
-    /// response buffers are recycled (see
-    /// [`KvProcessor::execute_batch_refs_into`]).
-    pub fn execute_batch_refs_into(
-        &mut self,
-        reqs: &[KvRequestRef<'_>],
-        out: &mut Vec<KvResponse>,
-    ) {
-        self.proc.execute_batch_refs_into(reqs, out)
-    }
-
-    /// Executes one borrowed request without staging allocations — the
-    /// simulator's per-op hot path.
-    pub fn execute_one(&mut self, req: KvRequestRef<'_>) -> KvResponse {
-        self.proc.execute_one(req)
+    /// Executes a batch of borrowed requests — one client packet — into
+    /// a caller-owned response vector; retired response buffers are
+    /// recycled (see [`KvProcessor::execute_into`]).
+    pub fn execute_into(&mut self, reqs: &[KvRequestRef<'_>], out: &mut Vec<KvResponse>) {
+        self.proc.execute_into(reqs, out)
     }
 
     /// Executes one borrowed request into a caller-owned response; the
@@ -518,6 +505,14 @@ impl KvDirectStore {
     /// [`KvProcessor::execute_one_into`]).
     pub fn execute_one_into(&mut self, req: KvRequestRef<'_>, resp: &mut KvResponse) {
         self.proc.execute_one_into(req, resp)
+    }
+
+    /// Owned-request convenience over [`Self::execute_into`].
+    pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
+        let refs: Vec<KvRequestRef<'_>> = reqs.iter().map(KvRequest::as_ref).collect();
+        let mut out = Vec::with_capacity(reqs.len());
+        self.execute_into(&refs, &mut out);
+        out
     }
 }
 
@@ -527,100 +522,13 @@ impl CostSource for KvDirectStore {
     }
 }
 
-/// A multi-NIC deployment: keys shard across NICs by hash, each NIC
-/// owning a disjoint slice of host memory (the paper's 10-NIC setup).
-///
-/// # Examples
-///
-/// ```
-/// use kvd_core::{KvDirectConfig, MultiNicStore};
-///
-/// let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 4);
-/// s.put(b"a", b"1").unwrap();
-/// assert_eq!(s.get(b"a").unwrap(), b"1");
-/// assert_eq!(s.nics(), 4);
-/// ```
-pub struct MultiNicStore {
-    nics: Vec<KvDirectStore>,
-}
-
-impl MultiNicStore {
-    /// Creates `n` NICs, each with its own `cfg`-sized memory slice.
-    pub fn new(cfg: KvDirectConfig, n: usize) -> Self {
-        assert!(n >= 1);
-        MultiNicStore {
-            nics: (0..n).map(|_| KvDirectStore::new(cfg.clone())).collect(),
-        }
-    }
-
-    /// Number of NICs.
-    pub fn nics(&self) -> usize {
-        self.nics.len()
-    }
-
-    fn shard(&self, key: &[u8]) -> usize {
-        // Client-side sharding: shared with the parallel engine so both
-        // layers agree on key ownership.
-        shard_of(key, self.nics.len())
-    }
-
-    /// Routes a GET to the owning NIC.
-    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
-        let s = self.shard(key);
-        self.nics[s].get(key)
-    }
-
-    /// Routes a PUT to the owning NIC.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let s = self.shard(key);
-        self.nics[s].put(key, value)
-    }
-
-    /// Routes a DELETE to the owning NIC.
-    pub fn delete(&mut self, key: &[u8]) -> bool {
-        let s = self.shard(key);
-        self.nics[s].delete(key)
-    }
-
-    /// Routes a fetch-and-add to the owning NIC.
-    pub fn fetch_add(&mut self, key: &[u8], delta: u64) -> Result<u64, StoreError> {
-        let s = self.shard(key);
-        self.nics[s].fetch_add(key, delta)
-    }
-
-    /// Scatters a batch to the owning NICs and gathers responses in order.
-    pub fn execute_batch(&mut self, reqs: &[KvRequest]) -> Vec<KvResponse> {
-        let mut per_nic: Vec<Vec<(usize, KvRequest)>> = vec![Vec::new(); self.nics.len()];
-        for (i, r) in reqs.iter().enumerate() {
-            per_nic[self.shard(&r.key)].push((i, r.clone()));
-        }
-        let mut out: Vec<Option<KvResponse>> = vec![None; reqs.len()];
-        for (nic, batch) in per_nic.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let reqs_only: Vec<KvRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
-            let responses = self.nics[nic].execute_batch(&reqs_only);
-            for ((i, _), resp) in batch.into_iter().zip(responses) {
-                out[i] = Some(resp);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("all requests routed"))
-            .collect()
-    }
-
-    /// Per-NIC access to the shards.
-    pub fn nic(&self, i: usize) -> &KvDirectStore {
-        &self.nics[i]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lambda::builtin;
+    use crate::parallel::{ParallelSimConfig, ParallelSystemSim};
     use kvd_mem::MemoryEngine;
+    use kvd_net::shard_of;
 
     fn store() -> KvDirectStore {
         KvDirectStore::new(KvDirectConfig::with_memory(1 << 20))
@@ -770,21 +678,34 @@ mod tests {
         assert_eq!(rs[5].status, Status::NotFound);
     }
 
+    /// The multi-NIC deployment: `n` stores behind client-side sharding.
+    fn multinic(n: usize) -> ParallelSystemSim {
+        ParallelSystemSim::new(ParallelSimConfig::paper(
+            KvDirectConfig::with_memory(1 << 20),
+            8,
+            n,
+        ))
+    }
+
     #[test]
     fn multinic_sharding_roundtrip() {
-        let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 4);
+        let mut s = multinic(4);
         for i in 0..200u32 {
-            s.put(format!("key-{i}").as_bytes(), &i.to_le_bytes())
+            s.preload_put(format!("key-{i}").as_bytes(), &i.to_le_bytes())
                 .unwrap();
         }
         for i in 0..200u32 {
+            let key = format!("key-{i}");
+            let shard = shard_of(key.as_bytes(), 4);
             assert_eq!(
-                s.get(format!("key-{i}").as_bytes()).unwrap(),
+                s.shard_store_mut(shard).get(key.as_bytes()).unwrap(),
                 i.to_le_bytes()
             );
         }
         // Keys actually spread across NICs.
-        let loads: Vec<u64> = (0..4).map(|i| s.nic(i).processor().table().len()).collect();
+        let loads: Vec<u64> = (0..4)
+            .map(|i| s.shard_store_mut(i).processor().table().len())
+            .collect();
         assert!(
             loads.iter().all(|&l| l > 10),
             "unbalanced shards: {loads:?}"
@@ -1055,7 +976,8 @@ mod tests {
 
     #[test]
     fn multinic_batch_scatter_gather() {
-        let mut s = MultiNicStore::new(KvDirectConfig::with_memory(1 << 20), 3);
+        let mut s = multinic(3);
+        s.set_record_outcomes(true);
         let reqs: Vec<KvRequest> = (0..50u64)
             .flat_map(|i| {
                 vec![
@@ -1064,9 +986,19 @@ mod tests {
                 ]
             })
             .collect();
-        let rs = s.execute_batch(&reqs);
-        for i in 0..50usize {
-            assert_eq!(rs[2 * i + 1].value, ((i as u64) * 2).to_le_bytes());
+        s.run(&reqs);
+        // Each shard answers its routed sub-stream in order: every GET
+        // follows its PUT on the same shard.
+        let mut next = [0usize; 3];
+        for r in &reqs {
+            let shard = shard_of(&r.key, 3);
+            let (status, value) = &s.shard_outcomes(shard)[next[shard]];
+            next[shard] += 1;
+            assert_eq!(*status, Status::Ok);
+            if r.op == OpCode::Get {
+                let i = u64::from_le_bytes(r.key[..].try_into().unwrap());
+                assert_eq!(*value, (i * 2).to_le_bytes());
+            }
         }
     }
 }

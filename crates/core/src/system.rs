@@ -11,18 +11,19 @@
 //! land in a histogram, yielding the paper's 5th/95th-percentile error
 //! bars (Figure 17) from first principles.
 //!
-//! The simulator is *steppable*: [`SystemSim::load`] stages a request
-//! stream and [`SystemSim::step`] advances it only up to a time horizon,
-//! reporting how many host-memory cache lines the window consumed. The
-//! parallel multi-NIC engine ([`crate::parallel`]) drives one `SystemSim`
-//! per shard in lockstep windows and charges their aggregate host traffic
-//! to a shared DRAM arbiter; [`SystemSim::run`] is the single-shard
-//! convenience that steps to completion in one unbounded window.
+//! The simulator is *steppable*: [`SystemSim::load_owned`] stages a
+//! request stream and [`SystemSim::step`] advances it only up to a time
+//! horizon, reporting how many host-memory cache lines the window
+//! consumed. The parallel multi-NIC engine ([`crate::parallel`]) drives
+//! one `SystemSim` per shard in lockstep windows and charges their
+//! aggregate host traffic to a shared DRAM arbiter; [`SystemSim::run`] is
+//! the single-shard convenience that steps to completion in one
+//! unbounded window.
 //!
 //! # Open-loop mode and the overload plane
 //!
-//! [`SystemSim::load_open`] stages an *arrival schedule* instead of a
-//! closed loop: each request carries the instant its client issues it,
+//! [`SystemSim::load_open_owned`] stages an *arrival schedule* instead of
+//! a closed loop: each request carries the instant its client issues it,
 //! independent of responses. Offered load can then exceed capacity,
 //! which is where the overload plane earns its keep: a per-batch
 //! [`PressureGauge`] folds the simulated-time backlogs (decode queue,
@@ -199,36 +200,16 @@ struct OpLoad {
     dram_ps: u64,
 }
 
-/// What one [`SystemSim::step`] window consumed and whether the stream is
-/// drained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// The window's op-cost delta: everything the ledger accrued between
-    /// step entry and exit (operations that *started* inside the window;
-    /// see [`OpLedger::since`]).
-    pub window: OpLedger,
-    /// True once every staged request has completed.
-    pub done: bool,
-}
-
-impl StepOutcome {
-    /// Host-memory cache lines (PCIe DMA reads + writes) issued inside
-    /// the window. The arbiter charges these against shared host DRAM
-    /// bandwidth.
-    pub fn host_lines(&self) -> u64 {
-        self.window.host_lines()
-    }
-}
-
-/// The lean window summary returned by [`SystemSim::step_window`]: just
-/// the three scalars the credit arbiter settles on, no ledger
-/// materialization.
+/// What one [`SystemSim::step`] window consumed: the three scalars the
+/// parallel engine's credit arbiter settles on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowStep {
     /// Host-memory cache lines (PCIe DMA reads + writes) issued inside
-    /// the window — identical to [`StepOutcome::host_lines`] for the
-    /// same window (the simulator's PCIe DMA ledger entries are sourced
-    /// solely from the memory engine's access counters).
+    /// the window. The arbiter charges these against shared host DRAM
+    /// bandwidth. Equal to the window's ledger delta
+    /// (`ledger().since(..).host_lines()`): the simulator's PCIe DMA
+    /// ledger entries are sourced solely from the memory engine's access
+    /// counters.
     pub host_lines: u64,
     /// The shard's next natural event time (see [`SystemSim::next_event`]):
     /// the earliest instant at which its next batch could cut, before any
@@ -303,14 +284,14 @@ impl SystemSim {
         &mut self.store
     }
 
-    /// Stages a request stream and resets per-run accounting (histograms,
-    /// op counts, client windows). Component clocks (links, service
-    /// backlogs) persist, as they would across runs on real hardware.
-    pub fn load(&mut self, reqs: &[KvRequest]) {
-        self.pending.clear();
-        self.pending.extend_from_slice(reqs);
-        self.arrivals.clear();
-        self.open_loop = false;
+    /// Stages a stream and resets per-run accounting (histograms, op
+    /// counts, client windows, recorded outcomes, the sim-side ledger).
+    /// Component clocks (links, service backlogs) persist, as they would
+    /// across runs on real hardware.
+    fn stage(&mut self, reqs: Vec<KvRequest>, arrivals: Vec<SimTime>, open_loop: bool) {
+        self.pending = reqs;
+        self.arrivals = arrivals;
+        self.open_loop = open_loop;
         self.cursor = 0;
         self.window_free = vec![SimTime::ZERO; self.cfg.windows.max(1)];
         self.server_free = SimTime::ZERO;
@@ -325,44 +306,24 @@ impl SystemSim {
         self.ledger = OpLedger::default();
     }
 
-    /// Stages an *open-loop* request stream: each request is issued at
-    /// its scheduled arrival time regardless of outstanding responses,
-    /// so offered load is a free variable (and may exceed capacity —
-    /// that is the point). Batches cut every `cfg.batch` consecutive
-    /// arrivals; a request whose deadline has already passed when its
-    /// batch reaches the wire is dropped at the client, costing no
-    /// bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if arrival times are not non-decreasing.
-    pub fn load_open(&mut self, reqs: &[(SimTime, KvRequest)]) {
-        assert!(
-            reqs.windows(2).all(|w| w[0].0 <= w[1].0),
-            "open-loop arrivals must be sorted by time"
-        );
-        self.load(&[]);
-        self.pending.extend(reqs.iter().map(|(_, r)| r.clone()));
-        self.arrivals.extend(reqs.iter().map(|(t, _)| *t));
-        self.open_loop = true;
-    }
-
-    /// [`Self::load`] taking ownership of the stream: the staged buffer
-    /// is moved in rather than deep-copied (each [`KvRequest`] owns its
-    /// key and value bytes, so `extend_from_slice` clones every one).
-    /// The parallel router stages its per-shard streams this way.
+    /// Stages a closed-loop request stream, taking ownership of it, and
+    /// resets per-run accounting: the client keeps `cfg.windows` batches
+    /// outstanding and issues the next batch when a window frees up.
     pub fn load_owned(&mut self, reqs: Vec<KvRequest>) {
-        self.load(&[]);
-        self.pending = reqs;
+        self.stage(reqs, Vec::new(), false);
     }
 
-    /// [`Self::load_open`] taking ownership of the split schedule.
-    /// `arrivals[i]` is request `i`'s issue instant; the two vectors must
-    /// be equal length and the arrivals non-decreasing.
+    /// Stages an *open-loop* request stream and resets per-run
+    /// accounting: request `i` is issued at `arrivals[i]` regardless of
+    /// outstanding responses, so offered load is a free variable (and may
+    /// exceed capacity — that is the point). Batches cut every
+    /// `cfg.batch` consecutive arrivals; a request whose deadline has
+    /// already passed when its batch reaches the wire is dropped at the
+    /// client, costing no bandwidth.
     ///
     /// # Panics
     ///
-    /// Panics if the lengths differ or arrivals are not sorted.
+    /// Panics if the lengths differ or arrivals are not non-decreasing.
     pub fn load_open_owned(&mut self, reqs: Vec<KvRequest>, arrivals: Vec<SimTime>) {
         assert_eq!(
             reqs.len(),
@@ -373,10 +334,7 @@ impl SystemSim {
             arrivals.windows(2).all(|w| w[0] <= w[1]),
             "open-loop arrivals must be sorted by time"
         );
-        self.load(&[]);
-        self.pending = reqs;
-        self.arrivals = arrivals;
-        self.open_loop = true;
+        self.stage(reqs, arrivals, true);
     }
 
     /// Extends an open-loop stream *without* resetting accounting: the
@@ -476,22 +434,12 @@ impl SystemSim {
     /// component clock rewinding. Traffic is charged to the window where
     /// the batch *issues* (a conservative approximation: completion may
     /// spill past the horizon by at most one batch's service time).
-    pub fn step(&mut self, horizon: SimTime, floor: SimTime) -> StepOutcome {
-        let base = self.ledger();
-        self.advance(horizon, floor);
-        StepOutcome {
-            window: self.ledger().since(&base),
-            done: self.staged_done(),
-        }
-    }
-
-    /// [`Self::step`] without the ledger materialization: advances the
-    /// window and returns only the scalars the parallel engine's credit
-    /// arbiter settles on. Two full-ledger clones per window per shard
-    /// (entry baseline + exit delta) become three `u64` loads, which is
-    /// what lets the asynchronous engine's publication path stay off the
-    /// allocator entirely.
-    pub fn step_window(&mut self, horizon: SimTime, floor: SimTime) -> WindowStep {
+    ///
+    /// The result is three scalars, not a ledger delta, so the
+    /// asynchronous engine's publication path stays off the allocator; a
+    /// caller that wants the window's full op-cost delta brackets the
+    /// call with [`Self::ledger`] and [`OpLedger::since`].
+    pub fn step(&mut self, horizon: SimTime, floor: SimTime) -> WindowStep {
         let before = self.store.processor().table().mem().stats();
         self.advance(horizon, floor);
         let after = self.store.processor().table().mem().stats();
@@ -531,8 +479,7 @@ impl SystemSim {
         }
     }
 
-    /// The staged batch loop shared by [`Self::step`] and
-    /// [`Self::step_window`].
+    /// The staged batch loop behind [`Self::step`].
     fn advance(&mut self, horizon: SimTime, floor: SimTime) {
         let batch = self.cfg.batch.max(1);
         let cycle = self.cfg.clock.cycle();
@@ -810,7 +757,7 @@ impl SystemSim {
         }
     }
 
-    /// Report over everything completed since the last [`Self::load`].
+    /// Report over everything completed since the stream was staged.
     pub fn report(&self) -> SystemSimReport {
         SystemSimReport {
             summary: RunSummary::new(
@@ -839,18 +786,19 @@ impl SystemSim {
     /// accesses) and are charged in simulated time. Equivalent to one
     /// unbounded [`Self::step`] window.
     pub fn run(&mut self, reqs: &[KvRequest]) -> SystemSimReport {
-        self.load(reqs);
+        self.load_owned(reqs.to_vec());
         while !self.step(SimTime::MAX, SimTime::ZERO).done {}
         self.report()
     }
 
     /// Runs an open-loop arrival schedule to completion (see
-    /// [`Self::load_open`]), returning the report. With the overload
+    /// [`Self::load_open_owned`]), returning the report. With the overload
     /// plane enabled, offered load beyond the saturation point sheds
     /// instead of collapsing: `goodput_mops` holds near the knee while
     /// `shed_ops`/`expired_ops` absorb the excess.
     pub fn run_open(&mut self, reqs: &[(SimTime, KvRequest)]) -> SystemSimReport {
-        self.load_open(reqs);
+        let (arrivals, reqs) = reqs.iter().cloned().unzip();
+        self.load_open_owned(reqs, arrivals);
         while !self.step(SimTime::MAX, SimTime::ZERO).done {}
         self.report()
     }

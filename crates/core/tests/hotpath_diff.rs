@@ -1,15 +1,15 @@
-//! Differential test: the zero-copy batched hot path is bit-identical to
-//! the owned per-request path.
+//! Differential tests: the zero-copy batched hot path is bit-identical to
+//! the owned decode path, and a single op is exactly a batch of one.
 //!
 //! One YCSB-A trace (update-heavy, zipf-skewed — the mix that exercises
 //! puts, gets, forwarding and write-backs together) is driven through two
 //! identically configured stores:
 //!
-//! * **owned**: `encode_packet` → `decode_packet` (owned requests) →
-//!   `execute_batch` — the path every caller used before the zero-copy
-//!   rework;
+//! * **owned**: `encode_packet` → `decode_packet` (owned requests, the
+//!   reference decoder) → `execute_batch`, which allocates a fresh
+//!   response vector per packet;
 //! * **zero-copy**: the same packet bytes → `decode_packet_ref` (borrowed
-//!   requests) → `execute_batch_refs_into` with a reused response arena.
+//!   requests) → `execute_into` with a reused response arena.
 //!
 //! Every response must match, and the merged op-cost ledgers must be
 //! *equal as values* — the ledger is the equivalence oracle proving the
@@ -51,7 +51,7 @@ fn zero_copy_batches_match_owned_path() {
         owned.execute_batch(&owned_reqs);
         let refs = decode_packet_ref(&bytes).expect("round-trip");
         let mut scratch = Vec::new();
-        zero_copy.execute_batch_refs_into(&refs, &mut scratch);
+        zero_copy.execute_into(&refs, &mut scratch);
     }
 
     let mut arena: Vec<KvResponse> = Vec::new();
@@ -63,7 +63,7 @@ fn zero_copy_batches_match_owned_path() {
         let owned_resps = owned.execute_batch(&owned_reqs);
 
         let refs = decode_packet_ref(&bytes).expect("round-trip");
-        zero_copy.execute_batch_refs_into(&refs, &mut arena);
+        zero_copy.execute_into(&refs, &mut arena);
 
         assert_eq!(owned_resps, arena, "responses diverged");
     }
@@ -77,32 +77,27 @@ fn zero_copy_batches_match_owned_path() {
 }
 
 #[test]
-fn execute_one_into_matches_execute_one() {
+fn execute_one_into_matches_one_element_batches() {
     const POP: u64 = 500;
 
     let mut a = store();
     let mut b = store();
     let mut w = PresetWorkload::new(YcsbPreset::A, POP, 24, 0xBEE);
-    for req in w.preload() {
-        a.execute_one(req.as_ref());
-        b.execute_one_into(
-            req.as_ref(),
-            &mut KvResponse {
-                status: kvd_net::Status::Ok,
-                value: Vec::new(),
-            },
-        );
-    }
-
+    let mut batch: Vec<KvResponse> = Vec::new();
     let mut resp = KvResponse {
         status: kvd_net::Status::Ok,
         value: Vec::new(),
     };
+    for req in w.preload() {
+        a.execute_into(&[req.as_ref()], &mut batch);
+        b.execute_one_into(req.as_ref(), &mut resp);
+    }
+
     for _ in 0..5_000 {
         let req = w.next_request();
-        let ra = a.execute_one(req.as_ref());
+        a.execute_into(&[req.as_ref()], &mut batch);
         b.execute_one_into(req.as_ref(), &mut resp);
-        assert_eq!(ra, resp, "per-op paths diverged");
+        assert_eq!(batch, std::slice::from_ref(&resp), "per-op paths diverged");
     }
     assert_eq!(merged_ledger(&a), merged_ledger(&b), "ledgers diverged");
 }

@@ -1,15 +1,13 @@
-//! Differential oracle for the lean window path.
+//! Oracle for the lean window summary.
 //!
 //! The asynchronous parallel engine settles windows on
-//! [`SystemSim::step_window`]'s three scalars instead of
-//! [`SystemSim::step`]'s full ledger delta. That is only sound if, for
-//! the same window sequence, (a) the scalar `host_lines` equals the
-//! ledger delta's (the simulator's PCIe DMA ledger entries are sourced
-//! solely from the memory engine's access counters), (b) the simulator
-//! state evolves identically (the two paths share `advance`), and (c)
-//! `next_event` really is the idle-skip oracle: a window whose horizon
-//! it clears processes nothing. This file pins all three against twin
-//! simulators driven window-by-window.
+//! [`SystemSim::step`]'s three scalars instead of a full ledger delta.
+//! That is only sound if, window by window, (a) the scalar `host_lines`
+//! equals the ledger delta's (the simulator's PCIe DMA ledger entries are
+//! sourced solely from the memory engine's access counters), and (b)
+//! `next_event` really is the idle-skip oracle: a window whose horizon it
+//! clears processes nothing. This file pins both on a simulator driven
+//! window-by-window, with the ledger delta taken around each step.
 
 use kvd_core::system::{SystemSim, SystemSimConfig};
 use kvd_core::KvDirectConfig;
@@ -50,34 +48,33 @@ fn stream(pop: u64, n: usize, seed: u64) -> Vec<KvRequest> {
 }
 
 #[test]
-fn step_window_matches_step_per_window_and_at_the_end() {
+fn step_host_lines_match_the_ledger_delta_per_window() {
     const POP: u64 = 2_000;
-    let reqs = stream(POP, 6_000, 0x5EED);
-    let mut heavy = preloaded(POP, 24);
-    let mut lean = preloaded(POP, 24);
-    heavy.load(&reqs);
-    lean.load(&reqs);
+    let mut sim = preloaded(POP, 24);
+    sim.load_owned(stream(POP, 6_000, 0x5EED));
 
     let quantum = SimTime::from_us(8);
     let mut floor = SimTime::ZERO;
     let mut windows = 0u32;
+    let mut busy = 0u32;
     loop {
         let horizon = floor + quantum;
-        let skip = lean.next_event() >= horizon;
-        let h = heavy.step(horizon, floor);
-        let l = lean.step_window(horizon, floor);
+        let skip = sim.next_event() >= horizon;
+        let base = sim.ledger();
+        let w = sim.step(horizon, floor);
+        let delta = sim.ledger().since(&base);
         assert_eq!(
-            h.host_lines(),
-            l.host_lines,
+            delta.host_lines(),
+            w.host_lines,
             "window {windows}: ledger-delta vs memory-stats host lines"
         );
-        assert_eq!(h.done, l.done, "window {windows}: done flags");
         if skip {
             assert_eq!(
-                l.host_lines, 0,
+                w.host_lines, 0,
                 "window {windows}: next_event cleared the horizon, yet the window issued traffic"
             );
         }
+        busy += u32::from(w.host_lines > 0);
         // Inject a stall every third window so the floored path is
         // exercised, not just back-to-back quanta.
         let stall = if windows % 3 == 2 {
@@ -85,32 +82,27 @@ fn step_window_matches_step_per_window_and_at_the_end() {
         } else {
             SimTime::ZERO
         };
-        heavy.absorb_host_stall(stall, quantum);
-        lean.absorb_host_stall(stall, quantum);
+        sim.absorb_host_stall(stall, quantum);
         floor = horizon + stall;
         windows += 1;
-        if l.done {
+        if w.done {
             break;
         }
         assert!(windows < 1_000_000, "stream failed to drain");
     }
-    assert!(windows > 3, "stream should span several windows");
-    assert_eq!(
-        heavy.report(),
-        lean.report(),
-        "the two stepping paths must leave identical simulators"
-    );
+    assert!(busy > 3, "stream should span several busy windows");
+    assert_eq!(sim.report().ops, 6_000);
 }
 
 #[test]
 fn next_event_is_max_once_drained_and_skipped_windows_are_free() {
     const POP: u64 = 500;
     let mut sim = preloaded(POP, 8);
-    sim.load(&stream(POP, 400, 0xA11));
+    sim.load_owned(stream(POP, 400, 0xA11));
     let mut floor = SimTime::ZERO;
     let quantum = SimTime::from_us(8);
     loop {
-        let out = sim.step_window(floor + quantum, floor);
+        let out = sim.step(floor + quantum, floor);
         floor += quantum;
         if out.done {
             assert_eq!(
@@ -123,7 +115,7 @@ fn next_event_is_max_once_drained_and_skipped_windows_are_free() {
     }
     assert_eq!(sim.next_event(), SimTime::MAX);
     // Stepping a drained simulator is a no-op window.
-    let extra = sim.step_window(floor + quantum, floor);
+    let extra = sim.step(floor + quantum, floor);
     assert_eq!(extra.host_lines, 0);
     assert!(extra.done);
 }

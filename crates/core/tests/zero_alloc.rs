@@ -57,10 +57,14 @@ fn steady_state_get_allocates_nothing() {
     const BATCH: usize = 32;
 
     let mut p = KvProcessor::with_flat_memory(1 << 22, 0.5, 24);
+    let mut resp = KvResponse {
+        status: Status::Ok,
+        value: Vec::new(),
+    };
     for id in 0..POP {
         let key = splitmix(id).to_le_bytes();
-        let r = p.execute_one(KvRequestRef::put(&key, &[id as u8; 8]));
-        assert_eq!(r.status, Status::Ok, "preload must fit");
+        p.execute_one_into(KvRequestRef::put(&key, &[id as u8; 8]), &mut resp);
+        assert_eq!(resp.status, Status::Ok, "preload must fit");
     }
 
     // A zipf-free but hot-skewed GET stream over the preloaded keys; the
@@ -76,13 +80,13 @@ fn steady_state_get_allocates_nothing() {
     // equilibrium float, the second proves the float is a fixpoint.
     for _ in 0..2 {
         for chunk in refs.chunks(BATCH) {
-            p.execute_batch_refs_into(chunk, &mut out);
+            p.execute_into(chunk, &mut out);
         }
     }
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut hits = 0usize;
     for chunk in refs.chunks(BATCH) {
-        p.execute_batch_refs_into(chunk, &mut out);
+        p.execute_into(chunk, &mut out);
         hits += out.iter().filter(|r| r.status == Status::Ok).count();
     }
     let batched = ALLOCS.load(Ordering::Relaxed) - before;
@@ -93,10 +97,6 @@ fn steady_state_get_allocates_nothing() {
     );
 
     // --- Per-op path (the timed simulator's inner loop) ------------------
-    let mut resp = KvResponse {
-        status: Status::Ok,
-        value: Vec::new(),
-    };
     for _ in 0..2 {
         for r in &refs {
             p.execute_one_into(*r, &mut resp);

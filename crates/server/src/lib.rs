@@ -9,7 +9,7 @@
 //! (and the bundled open-loop load generator) exercise the real code
 //! path: TCP bytes → incremental frame reassembly ([`proto`]) →
 //! per-shard bundles executed on the connection's own thread under the
-//! shard's lock ([`server`]) → the pooled `execute_batch_refs_into` hot
+//! shard's lock ([`server`]) → the pooled `execute_into` hot
 //! path of [`kvd_core::KvDirectStore`].
 //!
 //! * [`proto`] — the wire grammar: borrowed zero-copy decode, response

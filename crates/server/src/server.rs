@@ -15,7 +15,7 @@
 //!
 //! Steady-state the hot path allocates nothing per request: keys and
 //! data are staged into pooled per-shard arenas, execution goes through
-//! the pooled [`KvDirectStore::execute_batch_refs_into`] entry point
+//! the pooled [`KvDirectStore::execute_into`] entry point
 //! with a per-shard request buffer (retired value buffers recycle into
 //! the station pool), and response encoding appends into a reused write
 //! buffer.
@@ -201,7 +201,7 @@ struct Op {
 /// A pooled execution unit: one shard's ops and their byte arena in,
 /// responses out. A bundle executes with `responses[i]` aligned to
 /// `ops[i]`; the next reuse hands `responses` back to
-/// `execute_batch_refs_into`, which recycles the retired value buffers
+/// `execute_into`, which recycles the retired value buffers
 /// into the same shard's store, so buffers never drift between shards.
 #[derive(Debug, Default)]
 struct Bundle {
@@ -499,7 +499,7 @@ fn execute_bundle(shard: &mut Shard, bundle: &mut Bundle, cas: &AtomicU64) {
             Verb::Add | Verb::Replace | Verb::Touch => unreachable!("these ops ship alone"),
         });
     }
-    store.execute_batch_refs_into(&refs, responses);
+    store.execute_into(&refs, responses);
     shard.refs = recycle(refs);
 }
 

@@ -130,29 +130,117 @@ fn utilization_metric_consistent_across_stack() {
     assert!((u - (500.0 * 24.0 / (4 << 20) as f64)).abs() < 1e-12);
 }
 
+/// One seeded stream — 60% GET, 30% PUT, 10% DELETE over 500 preloaded
+/// keys plus 100 absent ones — must yield the same `(status, value)` per
+/// op through every in-process front door: owned packets, single borrowed
+/// ops, the timed simulator, and the parallel engine at 1 and 4 shards.
 #[test]
-fn multi_nic_matches_single_nic_semantics() {
-    use kv_direct::MultiNicStore;
-    let mut single = store();
-    let mut multi = MultiNicStore::new(KvDirectConfig::with_memory(4 << 20), 4);
-    for i in 0..300u64 {
-        let k = i.to_le_bytes();
-        let v = (i * 17).to_le_bytes();
-        single.put(&k, &v).unwrap();
-        multi.put(&k, &v).unwrap();
+fn front_doors_agree_on_one_stream() {
+    use kv_direct::net::shard_of;
+    use kv_direct::parallel::{ParallelSimConfig, ParallelSystemSim};
+    use kv_direct::sim::DetRng;
+    use kv_direct::system::{SystemSim, SystemSimConfig};
+    use kv_direct::KvResponse;
+
+    const PRELOADED: u64 = 500;
+    const ABSENT: u64 = 100;
+    const OPS: usize = 6_000;
+    const BATCH: usize = 8;
+    let cfg = || KvDirectConfig::with_memory(4 << 20);
+    let preload = |id: u64| (id.to_le_bytes(), vec![id as u8; 8 + (id % 17) as usize]);
+
+    let mut rng = DetRng::seed(0xF00D_D005);
+    let stream: Vec<KvRequest> = (0..OPS)
+        .map(|i| {
+            let key = rng.u64_below(PRELOADED + ABSENT).to_le_bytes();
+            match rng.u64_below(10) {
+                0..=5 => KvRequest::get(&key),
+                6..=8 => KvRequest::put(&key, &vec![i as u8; 4 + i % 29]),
+                _ => KvRequest::delete(&key),
+            }
+        })
+        .collect();
+    let outcome = |r: KvResponse| (r.status, r.value);
+
+    // 1. Owned packets of 40.
+    let mut s = KvDirectStore::new(cfg());
+    for id in 0..PRELOADED {
+        let (k, v) = preload(id);
+        s.put(&k, &v).unwrap();
     }
-    for i in 0..300u64 {
-        let k = i.to_le_bytes();
-        assert_eq!(single.get(&k), multi.get(&k), "key {i}");
+    let packets: Vec<(Status, Vec<u8>)> = stream
+        .chunks(40)
+        .flat_map(|chunk| s.execute_batch(chunk))
+        .map(outcome)
+        .collect();
+
+    // 2. One borrowed op at a time.
+    let mut s = KvDirectStore::new(cfg());
+    for id in 0..PRELOADED {
+        let (k, v) = preload(id);
+        s.put(&k, &v).unwrap();
     }
-    for i in (0..300u64).step_by(3) {
-        assert_eq!(
-            single.delete(&i.to_le_bytes()),
-            multi.delete(&i.to_le_bytes())
-        );
+    let mut resp = KvResponse {
+        status: Status::Ok,
+        value: Vec::new(),
+    };
+    let single: Vec<(Status, Vec<u8>)> = stream
+        .iter()
+        .map(|r| {
+            s.execute_one_into(r.as_ref(), &mut resp);
+            (resp.status, resp.value.clone())
+        })
+        .collect();
+
+    // 3. The timed simulator.
+    let mut sim = SystemSim::new(SystemSimConfig::paper(cfg(), BATCH));
+    for id in 0..PRELOADED {
+        let (k, v) = preload(id);
+        sim.store_mut().put(&k, &v).unwrap();
     }
-    for i in 0..300u64 {
-        assert_eq!(single.get(&i.to_le_bytes()), multi.get(&i.to_le_bytes()));
+    sim.set_record_outcomes(true);
+    sim.run(&stream);
+    let timed = sim.outcomes().to_vec();
+
+    // 4./5. The parallel engine, outcomes re-interleaved by owning shard.
+    let parallel = |shards: usize| {
+        let mut sim = ParallelSystemSim::new(ParallelSimConfig::paper(cfg(), BATCH, shards));
+        for id in 0..PRELOADED {
+            let (k, v) = preload(id);
+            sim.preload_put(&k, &v).unwrap();
+        }
+        sim.set_record_outcomes(true);
+        sim.run(&stream);
+        let mut next = vec![0usize; shards];
+        stream
+            .iter()
+            .map(|r| {
+                let shard = shard_of(&r.key, shards);
+                next[shard] += 1;
+                sim.shard_outcomes(shard)[next[shard] - 1].clone()
+            })
+            .collect::<Vec<_>>()
+    };
+    let par1 = parallel(1);
+    let par4 = parallel(4);
+
+    let count = |s: Status| packets.iter().filter(|(st, _)| *st == s).count();
+    assert!(count(Status::Ok) > OPS / 2, "most ops succeed");
+    assert!(
+        count(Status::NotFound) > 100,
+        "absent and deleted keys miss"
+    );
+    assert_eq!(count(Status::Ok) + count(Status::NotFound), OPS);
+    for (door, got) in [
+        ("execute_one_into", &single),
+        ("SystemSim::run", &timed),
+        ("ParallelSystemSim 1 shard", &par1),
+        ("ParallelSystemSim 4 shards", &par4),
+    ] {
+        assert_eq!(got.len(), OPS, "{door}: one outcome per op");
+        for (i, (want, got)) in packets.iter().zip(got).enumerate() {
+            assert_eq!(want, got, "{door} diverged from execute_batch at op {i}");
+        }
     }
 }
 
